@@ -41,15 +41,9 @@ class ProbLabels:
         """Argmax labels, ties broken toward the lowest class index."""
         return self.probs.argmax(axis=1)
 
-    def to_records(self):
-        ids = self.instance_ids if self.instance_ids is not None else list(range(self.n))
-        for i, iid in enumerate(ids):
-            yield {"id": iid, "probs": [float(p) for p in self.probs[i]], "covered": bool(self.covered[i])}
-
 
 @dataclass
 class LabelModelKind:
-    variant: str = "dawid_skene"  # majority | weighted | dawid_skene
     em_max_iters: int = 100
     em_tol: float = 1e-6
     smoothing: float = 1.0
@@ -103,13 +97,18 @@ def weighted_vote(entries: np.ndarray, n_classes: int, lf_accuracies, instance_i
         voted[active, votes[active]] = True
     covered = voted.any(axis=1)
     probs = np.full((n, n_classes), 1.0 / n_classes)
-    for i in np.nonzero(covered)[0]:
-        mask = voted[i]
-        z = scores[i, mask]
-        z = np.exp(z - z.max())
-        row = np.zeros(n_classes)
-        row[mask] = z / z.sum()
-        probs[i] = row
+    # Rows with the same number k of voted classes are normalized together
+    # over their k scores only, so each row sum adds the same k terms in the
+    # same order as a per-row softmax would.
+    n_voted = voted.sum(axis=1)
+    for k in np.unique(n_voted[covered]):
+        rows = n_voted == k
+        mask = voted[rows]
+        z = scores[rows][mask].reshape(-1, k)
+        z = np.exp(z - z.max(axis=1, keepdims=True))
+        block = np.zeros(mask.shape)
+        block[mask] = (z / z.sum(axis=1, keepdims=True)).ravel()
+        probs[rows] = block
     return ProbLabels(probs=probs, covered=covered, instance_ids=instance_ids)
 
 
@@ -299,18 +298,14 @@ def dawid_skene_em(entries: np.ndarray, n_classes: int, kind: Optional[LabelMode
 def resolve_training_labels(problabels: ProbLabels, dataset: Dataset):
     """Hard labels for downstream training.
 
-    Covered instances take the argmax (ties to the lowest class index);
-    uncovered instances take the dataset's default class when defined and are
-    otherwise excluded. Returns a list of (instance id, class index).
+    Covered rows take the argmax (ties to the lowest class index); uncovered
+    rows take the dataset's default class when defined and are otherwise
+    excluded. Returns (rows, labels): the kept row indices in ascending order
+    and their class indices.
     """
-    ids = problabels.instance_ids
-    if ids is None:
-        ids = list(range(problabels.n))
-    hard = problabels.hard_labels()
-    out = []
-    for i, iid in enumerate(ids):
-        if problabels.covered[i]:
-            out.append((iid, int(hard[i])))
-        elif dataset.default_class is not None:
-            out.append((iid, dataset.default_class))
-    return out
+    covered = problabels.covered
+    if dataset.default_class is None:
+        rows = np.flatnonzero(covered)
+        return rows, problabels.hard_labels()[rows]
+    return (np.arange(problabels.n),
+            np.where(covered, problabels.hard_labels(), dataset.default_class))

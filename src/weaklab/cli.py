@@ -9,9 +9,7 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from . import aggregate, corpus, downstream, labelfns, pipeline
+from . import corpus, downstream, labelfns, pipeline
 
 
 def _add_config_arg(parser):
@@ -72,29 +70,17 @@ def cmd_eval_lfs(args):
     dataset = corpus.load_dataset(config.train_path, config.valid_path,
                                   config.test_path, config.schema_path)
     lfs = labelfns.load_lfs(args.lfs, dataset.classes, dataset.task_kind)
-    matrix = labelfns.build_matrix(lfs, dataset.train)
-    if matrix.m and (matrix.entries != labelfns.ABSTAIN).any():
-        if config.label_model == "majority":
-            problabels = aggregate.majority_vote(matrix.entries, dataset.n_classes,
-                                                 matrix.instance_ids)
-        else:
-            kind = aggregate.LabelModelKind(em_max_iters=config.em_max_iters,
-                                            em_tol=config.em_tol, smoothing=config.smoothing)
-            problabels = aggregate.dawid_skene_em(matrix.entries, dataset.n_classes, kind,
-                                                  matrix.instance_ids).problabels
-    else:
-        n = len(dataset.train)
-        problabels = aggregate.ProbLabels(
-            probs=np.full((n, dataset.n_classes), 1.0 / dataset.n_classes),
-            covered=np.zeros(n, dtype=bool), instance_ids=matrix.instance_ids)
+    train_matrix = labelfns.build_matrix(lfs, dataset.train).entries
+    valid_matrix = labelfns.build_matrix(lfs, dataset.valid).entries
+    valid_accuracies = [labelfns.lf_stats(lf, dataset.valid, votes=valid_matrix[:, j]).accuracy
+                        for j, lf in enumerate(lfs)]
     space = downstream.fit_tfidf([i.text for i in dataset.train],
                                  min_df=config.min_df, max_features=config.max_features)
     X_train = downstream.featurize_all(space, [i.text for i in dataset.train])
-    id_to_row = {inst.id: i for i, inst in enumerate(dataset.train)}
-    model = pipeline._train_downstream(config, dataset, problabels, X_train, id_to_row)
+    problabels, model = pipeline.refit(config, dataset, train_matrix, valid_accuracies, X_train)
     positive = (dataset.classes.index(config.positive_class)
                 if config.positive_class is not None else None)
-    metrics = pipeline.compute_metrics(dataset, lfs, matrix.entries, problabels, model,
+    metrics = pipeline.compute_metrics(dataset, lfs, train_matrix, problabels, model,
                                        space, [], positive)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:

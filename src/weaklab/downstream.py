@@ -193,17 +193,3 @@ def evaluate(model: LinearModel, space: Optional[FeatureSpace], split, metric: s
             raise ValueError("binary F1 needs a 2-class model")
         return binary_f1(y_true, y_pred, positive_class)
     raise ValueError("unknown metric %r" % metric)
-
-
-def pearson(xs, ys) -> float:
-    """Sample Pearson correlation coefficient."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.shape != ys.shape or xs.ndim != 1 or xs.size < 2:
-        raise ValueError("need two equal-length sequences of length >= 2")
-    xc = xs - xs.mean()
-    yc = ys - ys.mean()
-    denom = math.sqrt(float((xc ** 2).sum()) * float((yc ** 2).sum()))
-    if denom == 0:
-        raise ValueError("correlation undefined: zero variance")
-    return float((xc * yc).sum() / denom)

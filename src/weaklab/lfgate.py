@@ -117,15 +117,19 @@ def redundancy_filter(candidate_votes: np.ndarray, existing_votes, config: Filte
 class AdmissionGate:
     """Stateful admission pipeline over a dataset.
 
-    Admitted LFs and their cached train-split vote columns only ever grow;
-    redundancy for later candidates is checked against the full admitted set
-    including earlier admissions from the same batch.
+    Admitted LFs, their validation accuracies and their cached train-split
+    vote columns only ever grow; redundancy for later candidates is checked
+    against the full admitted set including earlier admissions from the same
+    batch.
     """
 
     def __init__(self, dataset: Dataset, config: Optional[FilterConfig] = None):
         self.dataset = dataset
         self.config = config or FilterConfig()
         self.admitted: list = []
+        # per admitted LF: accuracy on the valid split, None when it never fires
+        # there; measured even when the accuracy stage is disabled
+        self.valid_accuracies: list = []
         self.train_votes: list = []  # one np.ndarray per admitted LF
         self._train_index = KeywordIndex(dataset.train)
         self._valid_index = KeywordIndex(dataset.valid)
@@ -143,13 +147,11 @@ class AdmissionGate:
         lf, reason = validity_filter(candidate, self.dataset)
         if lf is None:
             return None, FilterVerdict(REJECTED, STAGE_VALIDITY, reason)
-        if self.config.enable_accuracy:
-            valid_votes = self._valid_index.votes(lf)
-            passed, acc = accuracy_filter(valid_votes, self._valid_gold, self.config)
-            if not passed:
-                return None, FilterVerdict(
-                    REJECTED, STAGE_ACCURACY,
-                    "validation accuracy %.4f < %.4f" % (acc, self.config.accuracy_threshold))
+        passed, acc = accuracy_filter(self._valid_index.votes(lf), self._valid_gold, self.config)
+        if self.config.enable_accuracy and not passed:
+            return None, FilterVerdict(
+                REJECTED, STAGE_ACCURACY,
+                "validation accuracy %.4f < %.4f" % (acc, self.config.accuracy_threshold))
         cand_votes = self._train_index.votes(lf)
         if self.config.enable_redundancy:
             passed, best = redundancy_filter(cand_votes, self.train_votes, self.config)
@@ -158,6 +160,7 @@ class AdmissionGate:
                     REJECTED, STAGE_REDUNDANCY,
                     "max train consensus %.4f > %.4f" % (best, self.config.redundancy_threshold))
         self.admitted.append(lf)
+        self.valid_accuracies.append(acc)
         self.train_votes.append(cand_votes)
         return lf, FilterVerdict(ADMITTED, STAGE_REDUNDANCY, "admitted")
 

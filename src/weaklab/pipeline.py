@@ -244,65 +244,56 @@ def build_backend(config: RunConfig, dataset: Dataset):
     raise ValueError("unknown backend %r" % config.backend)
 
 
-class _LoopState:
-    """Mutable label-model / downstream state refreshed between iterations."""
+def refit(config: RunConfig, dataset: Dataset, train_matrix: np.ndarray, valid_accuracies,
+          X_train: np.ndarray, previous=None):
+    """Fit the configured label model to the train vote columns, then the classifier.
 
-    def __init__(self):
-        self.problabels = None
-        self.model = None
-
-
-def _fit_label_model(config: RunConfig, gate: lfgate.AdmissionGate, dataset: Dataset):
-    matrix = gate.train_matrix()
+    valid_accuracies holds one validation accuracy per column (None for an LF
+    that never fires there; the weighted vote reads it as 0.5). Without a
+    single vote every row is uncovered. The classifier warm-starts from
+    `previous` and is None when no row resolves to a training label.
+    Returns (problabels, model).
+    """
     ids = [inst.id for inst in dataset.train]
-    if matrix.shape[1] == 0 or not (matrix != ABSTAIN).any():
-        n = len(dataset.train)
-        return aggregate.ProbLabels(
-            probs=np.full((n, dataset.n_classes), 1.0 / dataset.n_classes),
-            covered=np.zeros(n, dtype=bool), instance_ids=ids)
-    if config.label_model == "majority":
-        return aggregate.majority_vote(matrix, dataset.n_classes, ids)
-    if config.label_model == "weighted":
-        gold = np.array([inst.gold_label for inst in dataset.valid])
-        accs = []
-        for lf in gate.admitted:
-            votes = gate._valid_index.votes(lf)
-            acc = lfgate.measure_accuracy(votes, gold)
-            accs.append(acc if acc is not None else 0.5)
-        return aggregate.weighted_vote(matrix, dataset.n_classes, accs, ids)
-    if config.label_model == "dawid_skene":
-        kind = aggregate.LabelModelKind(variant="dawid_skene", em_max_iters=config.em_max_iters,
-                                        em_tol=config.em_tol, smoothing=config.smoothing,
+    n, n_classes = len(ids), dataset.n_classes
+    if not (train_matrix != ABSTAIN).any():
+        problabels = aggregate.ProbLabels(probs=np.full((n, n_classes), 1.0 / n_classes),
+                                          covered=np.zeros(n, dtype=bool), instance_ids=ids)
+    elif config.label_model == "majority":
+        problabels = aggregate.majority_vote(train_matrix, n_classes, ids)
+    elif config.label_model == "weighted":
+        accs = [0.5 if acc is None else acc for acc in valid_accuracies]
+        problabels = aggregate.weighted_vote(train_matrix, n_classes, accs, ids)
+    elif config.label_model == "dawid_skene":
+        kind = aggregate.LabelModelKind(em_max_iters=config.em_max_iters, em_tol=config.em_tol,
+                                        smoothing=config.smoothing,
                                         em_restarts=config.em_restarts)
-        return aggregate.dawid_skene_em(matrix, dataset.n_classes, kind, ids).problabels
-    raise ValueError("unknown label model %r" % config.label_model)
-
-
-def _train_downstream(config: RunConfig, dataset: Dataset, problabels, features_train,
-                      id_to_row, previous=None):
-    resolved = aggregate.resolve_training_labels(problabels, dataset)
-    if not resolved:
-        return None
-    rows = [id_to_row[iid] for iid, _ in resolved]
-    X = features_train[rows]
-    if config.soft_labels:
-        prob_rows = {iid: problabels.probs[i] for i, iid in enumerate(problabels.instance_ids)}
-        cov_rows = {iid: problabels.covered[i] for i, iid in enumerate(problabels.instance_ids)}
-        Y = np.zeros((len(resolved), dataset.n_classes))
-        for r, (iid, hard) in enumerate(resolved):
-            if cov_rows.get(iid, False):
-                Y[r] = prob_rows[iid]
-            else:
-                Y[r, hard] = 1.0
+        problabels = aggregate.dawid_skene_em(train_matrix, n_classes, kind, ids).problabels
     else:
-        Y = np.array([label for _, label in resolved])
-    return downstream.train_logreg(X, Y, dataset.n_classes, l2=config.l2,
-                                   max_iters=config.max_opt_iters, grad_tol=config.grad_tol,
-                                   init=previous)
+        raise ValueError("unknown label model %r" % config.label_model)
+
+    rows, labels = aggregate.resolve_training_labels(problabels, dataset)
+    if not len(rows):
+        return problabels, None
+    if config.soft_labels:
+        Y = np.eye(n_classes)[labels]
+        covered = problabels.covered[rows]
+        Y[covered] = problabels.probs[rows][covered]
+    else:
+        Y = labels
+    model = downstream.train_logreg(X_train[rows], Y, n_classes, l2=config.l2,
+                                    max_iters=config.max_opt_iters, grad_tol=config.grad_tol,
+                                    init=previous)
+    return problabels, model
 
 
 def run(config: RunConfig, backend=None, dataset: Optional[Dataset] = None) -> RunReport:
     """Execute the full iterative loop and return the run report."""
+    if config.lazy_retrain and config.sampler in ("seu", "uncertainty"):
+        # these samplers score the pool with the label model or the classifier,
+        # which lazy_retrain leaves unfitted until the loop ends
+        raise ValueError("lazy_retrain needs sampler 'random', not sampler %r"
+                         % config.sampler)
     if dataset is None:
         dataset = corpus.load_dataset(config.train_path, config.valid_path,
                                       config.test_path, config.schema_path)
@@ -351,7 +342,6 @@ def run(config: RunConfig, backend=None, dataset: Optional[Dataset] = None) -> R
                                  min_df=config.min_df, max_features=config.max_features)
     X_train = downstream.featurize_all(space, [inst.text for inst in dataset.train])
     X_test = downstream.featurize_all(space, [inst.text for inst in dataset.test])
-    id_to_row = {inst.id: i for i, inst in enumerate(dataset.train)}
     train_by_id = {inst.id: inst for inst in dataset.train}
     features_by_id = {inst.id: X_train[i] for i, inst in enumerate(dataset.train)}
 
@@ -360,7 +350,7 @@ def run(config: RunConfig, backend=None, dataset: Optional[Dataset] = None) -> R
         redundancy_threshold=config.redundancy_threshold,
         enable_accuracy=config.enable_accuracy,
         enable_redundancy=config.enable_redundancy))
-    state = _LoopState()
+    problabels = model = None
     selection = select.SelectionState(pool=[inst.id for inst in dataset.train])
     records: list = []
     warning = None
@@ -373,8 +363,8 @@ def run(config: RunConfig, backend=None, dataset: Optional[Dataset] = None) -> R
             if not selection.pool:
                 warning = "pool exhausted after %d iterations" % (t - 1)
                 break
-            query_id = _select_query(config, selection, state, rng, gate,
-                                     train_by_id, features_by_id, dataset)
+            query_id = _select_query(config, selection, problabels, model, rng, gate,
+                                     train_by_id, features_by_id)
             query = train_by_id[query_id]
             examples = (kate.select(query, spec.k_total, spec.cot)
                         if kate is not None else fixed_examples)
@@ -408,20 +398,18 @@ def run(config: RunConfig, backend=None, dataset: Optional[Dataset] = None) -> R
                 proposed=len(candidates), admitted=len(new_lfs),
                 verdicts=[v.to_record() for v in verdicts]))
             if not config.lazy_retrain:
-                state.problabels = _fit_label_model(config, gate, dataset)
-                state.model = _train_downstream(config, dataset, state.problabels,
-                                                X_train, id_to_row, previous=state.model)
+                problabels, model = refit(config, dataset, gate.train_matrix(),
+                                          gate.valid_accuracies, X_train, model)
     except plmclient.BackendError as exc:
         warning = "backend error at iteration %d: %s" % (len(records) + 1, exc)
         complete_run = False
 
-    if complete_run and (config.lazy_retrain or state.problabels is None):
-        state.problabels = _fit_label_model(config, gate, dataset)
-        state.model = _train_downstream(config, dataset, state.problabels,
-                                        X_train, id_to_row, previous=state.model)
+    if complete_run and (config.lazy_retrain or problabels is None):
+        problabels, model = refit(config, dataset, gate.train_matrix(),
+                                  gate.valid_accuracies, X_train, model)
 
-    metrics = compute_metrics(dataset, gate.admitted, gate.train_matrix(), state.problabels,
-                              state.model, space, records, positive_class,
+    metrics = compute_metrics(dataset, gate.admitted, gate.train_matrix(), problabels,
+                              model, space, records, positive_class,
                               test_features=X_test)
     report = RunReport(config=config.experiment_dict(), seed=config.seed, metrics=metrics,
                        iterations=[r.to_record() for r in records],
@@ -442,13 +430,13 @@ def _first_response_with(parsed, payload, kind) -> int:
     return 0
 
 
-def _select_query(config, selection, state, rng, gate, train_by_id, features_by_id, dataset):
+def _select_query(config, selection, problabels, model, rng, gate, train_by_id,
+                  features_by_id):
     if config.sampler == "random":
         return select.random_sampler(selection, rng)
     if config.sampler == "uncertainty":
-        return select.uncertainty_sampler(selection, state.model, features_by_id, rng=rng)
+        return select.uncertainty_sampler(selection, model, features_by_id, rng=rng)
     if config.sampler == "seu":
-        problabels = state.problabels
         posteriors = {}
         uncovered = set(train_by_id)
         if problabels is not None:
@@ -456,14 +444,9 @@ def _select_query(config, selection, state, rng, gate, train_by_id, features_by_
                 posteriors[iid] = problabels.probs[i]
                 if problabels.covered[i]:
                     uncovered.discard(iid)
-        accuracy = {}
-        gold = np.array([inst.gold_label for inst in dataset.valid])
-        for lf in gate.admitted:
-            if lf.kind == KEYWORD:
-                votes = gate._valid_index.votes(lf)
-                acc = lfgate.measure_accuracy(votes, gold)
-                if acc is not None:
-                    accuracy[(" ".join(lf.tokens), lf.target_class)] = acc
+        accuracy = {(" ".join(lf.tokens), lf.target_class): acc
+                    for lf, acc in zip(gate.admitted, gate.valid_accuracies)
+                    if lf.kind == KEYWORD and acc is not None}
         seu = select.SeuState(candidate_accuracy=accuracy, uncovered=uncovered,
                               posteriors=posteriors)
         return select.seu_sampler(selection, seu, train_by_id,

@@ -75,6 +75,36 @@ class TestWeightedVote:
         with pytest.raises(ValueError):
             weighted_vote(np.array([[1, 0]]), 2, [0.9])
 
+    @pytest.mark.parametrize("n_classes", [2, 3, 9, 12])
+    def test_matches_per_row_softmax_bit_for_bit(self, n_classes):
+        # 9 and 12 classes let a row carry 8+ voted classes, where numpy
+        # switches to pairwise summation
+        def reference(entries, accuracies):
+            acc = np.clip(np.asarray(accuracies, dtype=float), 0.05, 0.95)
+            weights = np.log(acc * (n_classes - 1) / (1.0 - acc))
+            probs = np.full((entries.shape[0], n_classes), 1.0 / n_classes)
+            for i, row in enumerate(entries):
+                scores = np.zeros(n_classes)
+                voted = np.zeros(n_classes, dtype=bool)
+                for j, vote in enumerate(row):
+                    if vote != A:
+                        scores[vote] += weights[j]
+                        voted[vote] = True
+                if voted.any():
+                    z = np.exp(scores[voted] - scores[voted].max())
+                    probs[i] = 0.0
+                    probs[i, voted] = z / z.sum()
+            return probs
+
+        rng = np.random.default_rng(n_classes)
+        for _ in range(20):
+            m = int(rng.integers(1, 40))
+            entries = np.where(rng.random((30, m)) < 0.5, A,
+                               rng.integers(0, n_classes, size=(30, m)))
+            accuracies = rng.uniform(0.0, 1.0, size=m)
+            result = weighted_vote(entries, n_classes, accuracies)
+            assert np.array_equal(result.probs, reference(entries, accuracies))
+
 
 def brute_force_objective(entries, prior, confusions, propensities, smoothing):
     """Independent likelihood computation by direct enumeration."""
@@ -231,12 +261,12 @@ class TestResolveTrainingLabels:
         return ProbLabels(probs=probs, covered=covered, instance_ids=[0, 1, 2])
 
     def test_uncovered_takes_default_class(self):
-        labels = resolve_training_labels(self._problabels(), self._dataset(0))
-        assert labels == [(0, 1), (1, 0), (2, 0)]
+        rows, labels = resolve_training_labels(self._problabels(), self._dataset(0))
+        assert rows.tolist() == [0, 1, 2] and labels.tolist() == [1, 0, 0]
 
     def test_uncovered_excluded_without_default(self):
-        labels = resolve_training_labels(self._problabels(), self._dataset(None))
-        assert labels == [(0, 1), (2, 0)]
+        rows, labels = resolve_training_labels(self._problabels(), self._dataset(None))
+        assert rows.tolist() == [0, 2] and labels.tolist() == [1, 0]
 
 
 def test_label_model_kind_validation():

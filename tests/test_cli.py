@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from weaklab import labelfns
+from weaklab import aggregate, labelfns, lfgate
 from weaklab.cli import main
 from weaklab.corpus import TEXT_TASK, load_dataset
 from weaklab.labelfns import KEYWORD
@@ -98,6 +99,89 @@ def test_eval_lfs_subcommand(workdir, capsys):
     assert metrics["lf_num"] == len(lfs)
     assert metrics["test_score"] is not None
     assert "LF_num" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def noisy_lfs(tmp_path_factory):
+    """A low-signal corpus and an LF set mixing signatures with noise keywords.
+
+    The last two LFs are train bigrams that never occur on the valid split,
+    so their validation accuracy is None.
+    """
+    root = tmp_path_factory.mktemp("noisy")
+    corpus_dir = root / "corpus"
+    assert main(["synth", "--out", str(corpus_dir), "--n-train", "60", "--n-valid", "30",
+                 "--n-test", "20", "--q", "0.3", "--noise-vocab", "30", "--seed", "0"]) == 0
+    with open(corpus_dir / "oracle.json") as fh:
+        signatures = json.load(fh)["mock_signatures"]
+    config = {"train_path": str(corpus_dir / "train.jsonl"),
+              "valid_path": str(corpus_dir / "valid.jsonl"),
+              "test_path": str(corpus_dir / "test.jsonl"),
+              "schema_path": str(corpus_dir / "schema.json"),
+              "max_opt_iters": 100, "grad_tol": 1e-4}
+    dataset = load_dataset(config["train_path"], config["valid_path"],
+                           config["test_path"], config["schema_path"])
+    payloads = [(sig, dataset.classes.index(name))
+                for name, sigs in sorted(signatures.items()) for sig in sigs]
+    payloads += [("noise%d" % k, k % 2) for k in range(6)]
+    payloads += [("noise29 noise12", 1), ("noise10 noise15", 1)]
+    lfs = [labelfns.compile_lf(KEYWORD, payload, cls, dataset.classes, TEXT_TASK)
+           for payload, cls in payloads]
+    lf_path = root / "lfs.jsonl"
+    labelfns.save_lfs(lfs, lf_path)
+    train = labelfns.build_matrix(lfs, dataset.train).entries
+    valid = labelfns.build_matrix(lfs, dataset.valid).entries
+    gold = np.array([inst.gold_label for inst in dataset.valid])
+    accuracies = [lfgate.measure_accuracy(valid[:, j], gold) for j in range(len(lfs))]
+    assert accuracies[-2:] == [None, None]
+    assert (train[:, -2:] != labelfns.ABSTAIN).any(axis=0).all()
+
+    def eval_lfs(**overrides):
+        config_path = root / "config.json"
+        config_path.write_text(json.dumps({**config, **overrides}))
+        report_path = root / "metrics.json"
+        assert main(["eval-lfs", "--config", str(config_path), "--lfs", str(lf_path),
+                     "--report", str(report_path)]) == 0
+        return json.loads(report_path.read_text())
+
+    return {"dataset": dataset, "train": train, "accuracies": accuracies,
+            "eval_lfs": eval_lfs}
+
+
+def _train_acc(problabels, dataset):
+    gold = np.array([inst.gold_label for inst in dataset.train])
+    covered = problabels.covered
+    return float((problabels.hard_labels()[covered] == gold[covered]).mean())
+
+
+def test_eval_lfs_weighted_uses_validation_accuracies(noisy_lfs):
+    dataset, train = noisy_lfs["dataset"], noisy_lfs["train"]
+
+    def weighted(unmeasured):
+        weights = [unmeasured if acc is None else acc for acc in noisy_lfs["accuracies"]]
+        return _train_acc(aggregate.weighted_vote(train, dataset.n_classes, weights), dataset)
+
+    expected = weighted(0.5)
+    dawid_skene = _train_acc(aggregate.dawid_skene_em(train, dataset.n_classes).problabels,
+                             dataset)
+    # the corpus separates the weighted vote from Dawid-Skene, and an
+    # unmeasured LF weighted as 0.5 from one weighted above or below it
+    assert expected not in (dawid_skene, weighted(0.3), weighted(0.9))
+    assert noisy_lfs["eval_lfs"](label_model="weighted")["train_acc"] == expected
+    assert noisy_lfs["eval_lfs"](label_model="dawid_skene")["train_acc"] == dawid_skene
+
+
+def test_eval_lfs_passes_em_restarts(noisy_lfs, monkeypatch):
+    kinds = []
+    fit = aggregate.dawid_skene_em
+
+    def recording_fit(entries, n_classes, kind=None, instance_ids=None):
+        kinds.append(kind)
+        return fit(entries, n_classes, kind, instance_ids)
+
+    monkeypatch.setattr(aggregate, "dawid_skene_em", recording_fit)
+    noisy_lfs["eval_lfs"](label_model="dawid_skene", em_restarts=5, em_max_iters=40)
+    assert [(k.em_restarts, k.em_max_iters) for k in kinds] == [(5, 40)]
 
 
 def test_report_subcommand(workdir, capsys):

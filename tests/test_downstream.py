@@ -14,7 +14,6 @@ from weaklab.downstream import (
     featurize_all,
     fit_tfidf,
     loss_and_grad,
-    pearson,
     predict_proba,
     train_logreg,
 )
@@ -199,22 +198,3 @@ class TestMetrics:
         space = fit_tfidf(["a"])
         with pytest.raises(ValueError, match="unknown metric"):
             evaluate(model, space, split, "auc")
-
-
-class TestPearson:
-    def test_perfect_positive(self):
-        assert pearson([1, 2, 3], [2, 4, 6]) == pytest.approx(1.0)
-
-    def test_perfect_negative(self):
-        assert pearson([1, 2, 3], [3, 2, 1]) == pytest.approx(-1.0)
-
-    def test_hand_computed(self):
-        assert pearson([1, 2, 3, 4], [1, 3, 2, 4]) == pytest.approx(0.8)
-
-    def test_zero_variance_rejected(self):
-        with pytest.raises(ValueError, match="zero variance"):
-            pearson([1, 1, 1], [1, 2, 3])
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            pearson([1, 2], [1, 2, 3])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from weaklab.corpus import Dataset, Instance, TEXT_TASK
-from weaklab.labelfns import ABSTAIN, KEYWORD
+from weaklab.labelfns import ABSTAIN, KEYWORD, apply_lf
 from weaklab.lfgate import (
     ADMITTED,
     REJECTED,
@@ -185,6 +185,30 @@ class TestAdmissionGate:
         assert matrix.shape == (5, 2)
         assert list(matrix[:, 0]) == [1, ABSTAIN, 1, ABSTAIN, 1]
         assert list(matrix[:, 1]) == [ABSTAIN, 0, ABSTAIN, ABSTAIN, ABSTAIN]
+
+    @pytest.mark.parametrize("enable_accuracy", [True, False])
+    def test_valid_accuracies_recorded_for_admitted_lfs(self, enable_accuracy):
+        dataset = _tiny_dataset()
+        gate = AdmissionGate(dataset, FilterConfig(enable_accuracy=enable_accuracy))
+        gate.admit([
+            CandidateSpec(KEYWORD, "free", 1),  # valid accuracy 3/4
+            CandidateSpec(KEYWORD, "one two three four", 1),  # invalid
+            CandidateSpec(KEYWORD, "free", 1),  # redundant
+            CandidateSpec(KEYWORD, "free", 0),  # valid accuracy 1/4
+            CandidateSpec(KEYWORD, "song", 0),  # valid accuracy 1/1
+            CandidateSpec(KEYWORD, "click", 1),  # never fires on valid
+        ])
+        admitted = [(lf.payload, lf.target_class) for lf in gate.admitted]
+        if enable_accuracy:
+            assert admitted == [("free", 1), ("song", 0), ("click", 1)]
+            assert gate.valid_accuracies == [0.75, 1.0, None]
+        else:
+            assert admitted == [("free", 1), ("free", 0), ("song", 0), ("click", 1)]
+            assert gate.valid_accuracies == [0.75, 0.25, 1.0, None]
+        gold = np.array([inst.gold_label for inst in dataset.valid])
+        assert gate.valid_accuracies == [
+            measure_accuracy(np.array([apply_lf(lf, inst) for inst in dataset.valid]), gold)
+            for lf in gate.admitted]
 
     def test_empty_gate_matrix_shape(self):
         gate = AdmissionGate(_tiny_dataset())

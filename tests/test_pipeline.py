@@ -141,6 +141,11 @@ class TestRun:
         assert lazy.metrics["lf_num"] == eager.metrics["lf_num"]
         assert lazy.metrics["train_acc"] == pytest.approx(eager.metrics["train_acc"])
 
+    @pytest.mark.parametrize("sampler", ["seu", "uncertainty"])
+    def test_lazy_retrain_rejects_model_based_sampler(self, corpus_paths, sampler):
+        with pytest.raises(ValueError, match="lazy_retrain.*sampler %r" % sampler):
+            run(_config(corpus_paths, lazy_retrain=True, sampler=sampler))
+
     def test_pool_exhaustion_truncates_with_warning(self, corpus_paths):
         report = run(_config(corpus_paths, n_iterations=200))
         assert report.complete
