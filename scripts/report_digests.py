@@ -9,9 +9,12 @@ with the random sampler, runs with the accuracy filter off, a corpus with a
 default class and a three-class corpus. Last come `weaklab eval-lfs`
 reports over a low-signal corpus, for its signature LFs plus six
 noise-keyword LFs. Corpora come from `generate_synthetic` at the size the
-test suite uses (80/40/40).
+test suite uses (80/40/40). Relation points, which exercise the regex LF
+path, run the three label models with the random and SEU samplers and
+chain-of-thought prompting on the benchmark's relation corpus of seed 0
+(`lfbench.corpora.relation_corpus`, 80/40/40, 200 entity names).
 
-Example:
+Run from the root of a checkout; `src` may come from another checkout:
     PYTHONPATH=src python3 scripts/report_digests.py > digests.txt
 """
 
@@ -22,12 +25,15 @@ import io
 import itertools
 import json
 import os
+import sys
 import tempfile
 
 from weaklab import cli, labelfns
 from weaklab.corpus import TEXT_TASK
 from weaklab.labelfns import KEYWORD
 from weaklab.pipeline import RunConfig, generate_synthetic, run, write_synthetic
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 LABEL_MODELS = ("majority", "weighted", "dawid_skene")
 SAMPLERS = ("random", "uncertainty", "seu")
@@ -44,6 +50,16 @@ def write_corpus(root, name, **kwargs):
     return out, dataset, signatures, base
 
 
+def write_relation_corpus(root, name):
+    sys.path.append(ROOT)  # the benchmark package sits at the root of the checkout
+    from lfbench import corpora
+
+    out = os.path.join(root, name)
+    corpus = corpora.relation_corpus(0, n_train=80, n_valid=40, n_test=40, n_names=200)
+    paths = corpora.write_corpus(corpus, out)
+    return out, None, corpus.signatures, {**paths, "mock_signatures": corpus.signatures}
+
+
 def digest(text, mask):
     return hashlib.sha256(text.replace(mask, "<corpus>").encode()).hexdigest()[:16]
 
@@ -58,7 +74,8 @@ def main():
         corpora = {"binary": write_corpus(root, "binary"),
                    "default0": write_corpus(root, "default0", default_class=0),
                    "three": write_corpus(root, "three", n_classes=3),
-                   "sparse": write_corpus(root, "sparse", q=0.3, noise_vocab=30)}
+                   "sparse": write_corpus(root, "sparse", q=0.3, noise_vocab=30),
+                   "relation": write_relation_corpus(root, "relation")}
 
         points = [("binary", dict(label_model=lm, sampler=s, prompt_method=p, soft_labels=soft))
                   for lm, s, p, soft in itertools.product(LABEL_MODELS, SAMPLERS, PROMPTS,
@@ -71,6 +88,8 @@ def main():
         points += [("default0", dict(label_model=lm, soft_labels=soft))
                    for lm, soft in itertools.product(LABEL_MODELS, (False, True))]
         points += [("three", dict(label_model=lm, sampler="seu")) for lm in LABEL_MODELS]
+        points += [("relation", dict(label_model=lm, sampler=s, prompt_method="cot"))
+                   for lm, s in itertools.product(LABEL_MODELS, ("random", "seu"))]
 
         for corpus_name, overrides in points:
             out, _, _, base = corpora[corpus_name]

@@ -8,7 +8,7 @@ and are restricted to a linear-time-matchable subset.
 
 from __future__ import annotations
 
-import functools
+import itertools
 import json
 import re
 from dataclasses import dataclass, field
@@ -37,6 +37,11 @@ MAX_PATTERN_SOURCE = 100_000
 
 _E1 = "{{E1}}"
 _E2 = "{{E2}}"
+_PLACEHOLDER = re.compile(r"\{\{E[12]\}\}")
+# An entity right after `{`, `,` or a digit could become or extend a repeat
+# count or an octal escape; one next to a `{{E` that is no placeholder could
+# complete an `{{E2}}`, which the second substitution then replaces.
+_UNSAFE_PLACEMENT = re.compile(r"[{,0-9]\{\{E[12]\}\}|\{\{E(?![12]\}\})")
 
 _FORBIDDEN_OPS = {
     sre_constants.GROUPREF,
@@ -98,9 +103,36 @@ def _substitute_entities(source: str, e1: str, e2: str) -> str:
     return source.replace(_E1, re.escape(e1)).replace(_E2, re.escape(e2))
 
 
-@functools.lru_cache(maxsize=4096)
-def _compiled(source: str):
-    return re.compile(source, re.IGNORECASE)
+def _required_literal(payload: str):
+    """A compiled search for text that every match of the pattern contains,
+    whatever the entities, or None when the template proves no such text.
+
+    The text is the longest run of top-level LITERAL ops, parsed once with
+    each placeholder standing as an empty named group. An entity is inserted
+    as escaped atoms, so it breaks a run but cannot change one, provided the
+    parser takes the placeholder for a whole top-level atom. A placeholder
+    it reads otherwise (inside a class or a group, after a backslash,
+    quantified, in a comment) leaves no top-level marker, and the template
+    proves nothing; so does a placement in `_UNSAFE_PLACEMENT`. The search
+    uses the template's global flags, so it folds case as the pattern does.
+    """
+    if _UNSAFE_PLACEMENT.search(payload):
+        return None
+    n_marks = len(_PLACEHOLDER.findall(payload))
+    names = ("lfmark%d" % k for k in itertools.count())
+    try:
+        parsed = sre_parser.parse(
+            _PLACEHOLDER.sub(lambda m: "(?P<%s>)" % next(names), payload), re.IGNORECASE)
+    except re.error:
+        return None
+    marks = {parsed.state.groupdict.get("lfmark%d" % k) for k in range(n_marks)}
+    top = {av[0] for op, av in parsed if op is sre_constants.SUBPATTERN}
+    if None in marks or not marks <= top:
+        return None
+    runs = ["".join(chr(av) for _, av in run) for literal, run in
+            itertools.groupby(parsed, key=lambda item: item[0] is sre_constants.LITERAL) if literal]
+    best = max(runs, key=len, default="")
+    return re.compile(re.escape(best), parsed.state.flags) if best else None
 
 
 def compile_lf(kind, payload, target_class, classes, task_kind, provenance=None) -> LabelFunction:
@@ -125,7 +157,7 @@ def compile_lf(kind, payload, target_class, classes, task_kind, provenance=None)
         _check_pattern_safe(payload)
         probe = _substitute_entities(payload, "x", "x")
         _check_pattern_safe(probe)
-        compiled = _compiled(probe)
+        compiled = re.compile(probe, re.IGNORECASE)
         if compiled.search("") is not None:
             raise LFError("pattern matches the empty string")
         return LabelFunction(kind=PATTERN, payload=payload, target_class=target_class,
@@ -153,29 +185,46 @@ def apply_lf(lf: LabelFunction, instance: Instance) -> int:
     if instance.entity1 is None or instance.entity2 is None:
         raise LFError("pattern LF applied to an instance without entities")
     source = _substitute_entities(lf.payload, instance.entity1.text, instance.entity2.text)
-    if _compiled(source).search(instance.text) is not None:
+    if re.compile(source, re.IGNORECASE).search(instance.text) is not None:
         return lf.target_class
     return ABSTAIN
 
 
 class KeywordIndex:
-    """Per-instance n-gram sets enabling O(1) keyword-LF application."""
+    """One split's per-instance n-gram sets and a memo of LF matches.
+
+    A keyword LF is a set lookup per instance. A pattern LF goes through
+    `apply_lf` only on instances that contain its template's required
+    literal (`_required_literal`), plus those without entities, on which
+    `apply_lf` raises; every instance when the template proves no literal.
+    Whether an LF fires depends on its kind and payload alone, so each
+    (kind, payload) is matched once per index and its vote column is then
+    one `np.where`, whatever the target class.
+    """
 
     def __init__(self, instances):
         self.instances = list(instances)
         self.ngram_sets = [set(extract_ngrams(tokenize(i.text), 1, 3)) for i in self.instances]
+        self._matches = {}  # (kind, payload) -> bool array over instances
 
-    def votes(self, lf: LabelFunction) -> np.ndarray:
-        out = np.full(len(self.instances), ABSTAIN, dtype=np.int64)
+    def _match(self, lf: LabelFunction) -> np.ndarray:
         if lf.kind == KEYWORD:
             gram = " ".join(lf.tokens)
-            for i, grams in enumerate(self.ngram_sets):
-                if gram in grams:
-                    out[i] = lf.target_class
-        else:
-            for i, inst in enumerate(self.instances):
-                out[i] = apply_lf(lf, inst)
-        return out
+            return np.fromiter((gram in grams for grams in self.ngram_sets), dtype=bool,
+                               count=len(self.ngram_sets))
+        literal = _required_literal(lf.payload)
+        hits = np.zeros(len(self.instances), dtype=bool)
+        for i, inst in enumerate(self.instances):
+            if (literal is None or inst.entity1 is None or inst.entity2 is None
+                    or literal.search(inst.text) is not None):
+                hits[i] = apply_lf(lf, inst) != ABSTAIN
+        return hits
+
+    def votes(self, lf: LabelFunction) -> np.ndarray:
+        key = (lf.kind, lf.payload)
+        if key not in self._matches:
+            self._matches[key] = self._match(lf)
+        return np.where(self._matches[key], lf.target_class, ABSTAIN)
 
 
 @dataclass

@@ -8,6 +8,7 @@ from weaklab.labelfns import (
     ABSTAIN,
     KEYWORD,
     PATTERN,
+    KeywordIndex,
     LFError,
     apply_lf,
     build_matrix,
@@ -137,6 +138,79 @@ class TestApply:
         lf = kw("free")
         inst = Instance(id=0, text="free stuff for free people")
         assert all(apply_lf(lf, inst) == 1 for _ in range(5))
+
+
+# Pattern templates for KeywordIndex's literal prefilter: the mock's form, a
+# multi-word gram, no literal, a top-level branch, a placeholder in a class,
+# an atomic group, a possessive repeat, verbose and ASCII flags, an entity
+# that can complete a repeat count (`x{3}` once E2 is "3") and a quantified
+# placeholder, which an empty entity hands to the literal before it.
+INDEX_TEMPLATES = [
+    r"{{E1}}.{0,40}song.{0,40}{{E2}}",
+    r"{{E1}}.{0,40}kind\W+song.{0,40}{{E2}}",
+    r"{{E1}}.{0,40}{{E2}}",
+    r"{{E1}} song|kind {{E2}}",
+    r"[{{E1}}]+ song",
+    r"(?>{{E1}}\W+)song.{0,40}{{E2}}",
+    r"{{E1}} \w*+ song",
+    r"(?x) {{E1}} \s+ kind \s+ song .{0,40} {{E2}}",
+    r"(?a){{E1}}.{0,40}song.{0,40}{{E2}}",
+    r"{{E1}}.{0,40}x{{{E2}}}",
+    r"{{E1}}.{0,40}song{{E2}}?",
+]
+INDEX_ENTITIES = [("Bob", "Ann"), ("a.b", "x{y"), ("ſam", "Kurt"), ("Bob", "3"), ("Bob", "")]
+INDEX_MIDDLES = ["song", "ſong", "SONG", "kind song", "Kind  ſONG", "kind, song",
+                 "sang a song to", "no match here", "xxx", "x{3}", "sing", "sonnet"]
+
+
+def index_rows():
+    rows = []
+    for e1, e2 in INDEX_ENTITIES:
+        for middle in INDEX_MIDDLES:
+            for text in ("%s %s %s" % (e1, middle, e2), "%s then %s %s" % (e2, e1, middle)):
+                rows.append(rel_instance(text, e1, e2, iid=len(rows)))
+    return rows
+
+
+class TestKeywordIndex:
+    @pytest.mark.parametrize("template", INDEX_TEMPLATES)
+    def test_pattern_votes_equal_apply_lf(self, template):
+        rows = index_rows()
+        lf = pat(template)
+        assert KeywordIndex(rows).votes(lf).tolist() == [apply_lf(lf, r) for r in rows]
+
+    @pytest.mark.parametrize("make", [lambda c: pat(r"{{E1}}.{0,40}song.{0,40}{{E2}}", c),
+                                      lambda c: kw("song", c)], ids=["pattern", "keyword"])
+    def test_same_payload_two_classes(self, make):
+        rows = index_rows()
+        index = KeywordIndex(rows)
+        for cls in (0, 1, 0):
+            lf = make(cls)
+            assert index.votes(lf).tolist() == [apply_lf(lf, r) for r in rows]
+
+    def test_repeated_votes_are_memoized_per_index(self, monkeypatch):
+        calls = []
+
+        def counting(lf, inst):
+            calls.append(inst.id)
+            return apply_lf(lf, inst)
+
+        monkeypatch.setattr(labelfns, "apply_lf", counting)
+        rows = index_rows()
+        index = KeywordIndex(rows)
+        first = index.votes(pat(r"{{E1}}.{0,40}song.{0,40}{{E2}}", 1))
+        n_first = len(calls)
+        assert 0 < n_first < len(rows)
+        again = index.votes(pat(r"{{E1}}.{0,40}song.{0,40}{{E2}}", 0))
+        assert len(calls) == n_first
+        assert (again == np.where(first == 1, 0, ABSTAIN)).all()
+        KeywordIndex(rows).votes(pat(r"{{E1}}.{0,40}song.{0,40}{{E2}}", 1))
+        assert len(calls) == 2 * n_first
+
+    def test_votes_require_entities_where_the_literal_is_absent(self):
+        rows = [rel_instance("Bob song Ann", "Bob", "Ann"), Instance(id=1, text="no entities here")]
+        with pytest.raises(LFError, match="without entities"):
+            KeywordIndex(rows).votes(pat(r"{{E1}} song {{E2}}"))
 
 
 class TestMatrix:
