@@ -42,7 +42,12 @@ _PLACEHOLDER = re.compile(r"\{\{E[12]\}\}")
 # count or an octal escape; one next to a `{{E` that is no placeholder could
 # complete an `{{E2}}`, which the second substitution then replaces.
 _UNSAFE_PLACEMENT = re.compile(r"[{,0-9]\{\{E[12]\}\}|\{\{E(?![12]\}\})")
+# A placeholder after an odd run of backslashes is escaped text in the
+# template, but its entity's first character joins that escape.
+_ESCAPED_PLACEHOLDER = re.compile(r"(?<!\\)(?:\\\\)*\\\{\{E[12]\}\}")
 
+_REPEAT_OPS = {sre_constants.MAX_REPEAT, sre_constants.MIN_REPEAT,
+               getattr(sre_constants, "POSSESSIVE_REPEAT", None)}  # the last from 3.11
 _FORBIDDEN_OPS = {
     sre_constants.GROUPREF,
     sre_constants.GROUPREF_EXISTS,
@@ -83,7 +88,7 @@ def _walk_parsed(parsed):
         elif op is sre_constants.BRANCH:
             for branch in av[1]:
                 _walk_parsed(branch)
-        elif op in (sre_constants.MAX_REPEAT, sre_constants.MIN_REPEAT):
+        elif op in _REPEAT_OPS:
             _walk_parsed(av[2])
         elif op is getattr(sre_constants, "ATOMIC_GROUP", None):
             _walk_parsed(av)
@@ -154,6 +159,8 @@ def compile_lf(kind, payload, target_class, classes, task_kind, provenance=None)
             raise LFError("pattern LFs apply only to relation classification tasks")
         if not isinstance(payload, str) or not payload:
             raise LFError("empty pattern payload")
+        if _UNSAFE_PLACEMENT.search(payload) or _ESCAPED_PLACEHOLDER.search(payload):
+            raise LFError("entity placeholder where substitution would change the regex")
         _check_pattern_safe(payload)
         probe = _substitute_entities(payload, "x", "x")
         _check_pattern_safe(probe)

@@ -244,37 +244,44 @@ def build_backend(config: RunConfig, dataset: Dataset):
     raise ValueError("unknown backend %r" % config.backend)
 
 
+def _fit_label_model(config: RunConfig, dataset: Dataset, train_matrix: np.ndarray,
+                     valid_accuracies) -> aggregate.ProbLabels:
+    ids = [inst.id for inst in dataset.train]
+    n, n_classes = len(ids), dataset.n_classes
+    if not (train_matrix != ABSTAIN).any():
+        return aggregate.ProbLabels(probs=np.full((n, n_classes), 1.0 / n_classes),
+                                    covered=np.zeros(n, dtype=bool), instance_ids=ids)
+    if config.label_model == "majority":
+        return aggregate.majority_vote(train_matrix, n_classes, ids)
+    if config.label_model == "weighted":
+        accs = [0.5 if acc is None else acc for acc in valid_accuracies]
+        return aggregate.weighted_vote(train_matrix, n_classes, accs, ids)
+    if config.label_model == "dawid_skene":
+        kind = aggregate.LabelModelKind(em_max_iters=config.em_max_iters, em_tol=config.em_tol,
+                                        smoothing=config.smoothing,
+                                        em_restarts=config.em_restarts)
+        return aggregate.dawid_skene_em(train_matrix, n_classes, kind, ids).problabels
+    raise ValueError("unknown label model %r" % config.label_model)
+
+
 def refit(config: RunConfig, dataset: Dataset, train_matrix: np.ndarray, valid_accuracies,
-          X_train: np.ndarray, previous=None):
+          X_train: np.ndarray, previous=None, problabels=None):
     """Fit the configured label model to the train vote columns, then the classifier.
 
     valid_accuracies holds one validation accuracy per column (None for an LF
     that never fires there; the weighted vote reads it as 0.5). Without a
-    single vote every row is uncovered. The classifier warm-starts from
-    `previous` and is None when no row resolves to a training label.
-    Returns (problabels, model).
+    single vote every row is uncovered. Every label-model fit is
+    deterministic, so a caller whose columns and accuracies are unchanged
+    since the fit that gave `problabels` passes them back to skip the fit.
+    The classifier warm-starts from `previous` and is None when no row
+    resolves to a training label. Returns (problabels, model).
     """
-    ids = [inst.id for inst in dataset.train]
-    n, n_classes = len(ids), dataset.n_classes
-    if not (train_matrix != ABSTAIN).any():
-        problabels = aggregate.ProbLabels(probs=np.full((n, n_classes), 1.0 / n_classes),
-                                          covered=np.zeros(n, dtype=bool), instance_ids=ids)
-    elif config.label_model == "majority":
-        problabels = aggregate.majority_vote(train_matrix, n_classes, ids)
-    elif config.label_model == "weighted":
-        accs = [0.5 if acc is None else acc for acc in valid_accuracies]
-        problabels = aggregate.weighted_vote(train_matrix, n_classes, accs, ids)
-    elif config.label_model == "dawid_skene":
-        kind = aggregate.LabelModelKind(em_max_iters=config.em_max_iters, em_tol=config.em_tol,
-                                        smoothing=config.smoothing,
-                                        em_restarts=config.em_restarts)
-        problabels = aggregate.dawid_skene_em(train_matrix, n_classes, kind, ids).problabels
-    else:
-        raise ValueError("unknown label model %r" % config.label_model)
-
+    if problabels is None:
+        problabels = _fit_label_model(config, dataset, train_matrix, valid_accuracies)
     rows, labels = aggregate.resolve_training_labels(problabels, dataset)
     if not len(rows):
         return problabels, None
+    n_classes = dataset.n_classes
     if config.soft_labels:
         Y = np.eye(n_classes)[labels]
         covered = problabels.covered[rows]
@@ -398,8 +405,10 @@ def run(config: RunConfig, backend=None, dataset: Optional[Dataset] = None) -> R
                 proposed=len(candidates), admitted=len(new_lfs),
                 verdicts=[v.to_record() for v in verdicts]))
             if not config.lazy_retrain:
+                # the label model's inputs change only when an LF is admitted
                 problabels, model = refit(config, dataset, gate.train_matrix(),
-                                          gate.valid_accuracies, X_train, model)
+                                          gate.valid_accuracies, X_train, model,
+                                          problabels=None if new_lfs else problabels)
     except plmclient.BackendError as exc:
         warning = "backend error at iteration %d: %s" % (len(records) + 1, exc)
         complete_run = False

@@ -17,13 +17,17 @@ class PoolExhausted(RuntimeError):
     """Raised when a sampler is asked to draw from an empty pool."""
 
 
+def entropy_rows(probs: np.ndarray) -> np.ndarray:
+    """Shannon entropy in nats of each row, with the 0*ln(0) = 0 convention."""
+    return -(probs * np.log(np.where(probs > 0, probs, 1.0))).sum(axis=1)
+
+
 def entropy(p) -> float:
-    """Shannon entropy in nats with the 0*ln(0) = 0 convention."""
+    """Shannon entropy in nats of one probability vector."""
     p = np.asarray(p, dtype=float)
     if (p < 0).any() or abs(float(p.sum()) - 1.0) > 1e-6:
         raise ValueError("not a probability vector: %r" % (p,))
-    nz = p[p > 0]
-    return float(-(nz * np.log(nz)).sum())
+    return float(entropy_rows(p.reshape(1, -1))[0])
 
 
 @dataclass
@@ -59,15 +63,14 @@ def uncertainty_sampler(state: SelectionState, model, features_by_id, rng=None) 
         if rng is None:
             return state.take(state.pool[0])
         return random_sampler(state, rng)
-    best_id = None
-    best_score = -1.0
-    for iid in state.pool:  # pool is sorted, so ties resolve to the lowest id
-        probs = predict_proba(model, features_by_id[iid])[0]
-        score = entropy(probs)
-        if score > best_score + 1e-15:
-            best_score = score
-            best_id = iid
-    return state.take(best_id)
+    pool = state.pool  # sorted, so ties resolve to the lowest id
+    features = np.stack([features_by_id[iid] for iid in pool])
+    scores = entropy_rows(predict_proba(model, features)).tolist()
+    best = 0
+    for k in range(1, len(pool)):
+        if scores[k] > scores[best] + 1e-15:
+            best = k
+    return state.take(pool[best])
 
 
 @dataclass

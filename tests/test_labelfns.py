@@ -80,6 +80,27 @@ class TestCompile:
         with pytest.raises(LFError, match="exceeds"):
             pat("a" * (labelfns.MAX_PATTERN_SOURCE + 1))
 
+    @pytest.mark.parametrize("template", [r"(a)(?:\1)++ {{E1}} {{E2}}",
+                                          r"{{E1}}(?:(?=b)x)*+ {{E2}}"])
+    def test_forbidden_construct_in_possessive_repeat_rejected(self, template):
+        with pytest.raises(LFError, match="forbidden"):
+            pat(template)
+
+    # an entity after an odd run of backslashes joins the escape (with E1 "1"
+    # the first is the backreference `(q)\1ab`); one after `{` or `,` can
+    # complete a repeat count (`{3}` with E1 "3")
+    @pytest.mark.parametrize("template", [r"(q)\{{E1}}ab {{E2}}", r"a\\\{{E1}}ab {{E2}}",
+                                          r"{{{E1}}}.zz {{E2}}", r"{{E1}}.{0,40}x{{{E2}}}",
+                                          r"{{E1}} a{2,{{E2}}}"])
+    def test_placeholder_substitution_could_reread_rejected(self, template):
+        with pytest.raises(LFError, match="placeholder"):
+            pat(template)
+
+    def test_placeholder_after_escaped_backslash_accepted(self):
+        lf = pat(r"\\{{E1}}ab {{E2}}")
+        assert apply_lf(lf, rel_instance(r"\1ab 2", "1", "2")) == 1
+        assert apply_lf(lf, rel_instance("1ab 2", "1", "2")) == ABSTAIN
+
 
 class TestApply:
     def test_keyword_hit(self):
@@ -142,9 +163,8 @@ class TestApply:
 
 # Pattern templates for KeywordIndex's literal prefilter: the mock's form, a
 # multi-word gram, no literal, a top-level branch, a placeholder in a class,
-# an atomic group, a possessive repeat, verbose and ASCII flags, an entity
-# that can complete a repeat count (`x{3}` once E2 is "3") and a quantified
-# placeholder, which an empty entity hands to the literal before it.
+# an atomic group, a possessive repeat, verbose and ASCII flags and a
+# quantified placeholder, which an empty entity hands to the literal before it.
 INDEX_TEMPLATES = [
     r"{{E1}}.{0,40}song.{0,40}{{E2}}",
     r"{{E1}}.{0,40}kind\W+song.{0,40}{{E2}}",
@@ -155,7 +175,6 @@ INDEX_TEMPLATES = [
     r"{{E1}} \w*+ song",
     r"(?x) {{E1}} \s+ kind \s+ song .{0,40} {{E2}}",
     r"(?a){{E1}}.{0,40}song.{0,40}{{E2}}",
-    r"{{E1}}.{0,40}x{{{E2}}}",
     r"{{E1}}.{0,40}song{{E2}}?",
 ]
 INDEX_ENTITIES = [("Bob", "Ann"), ("a.b", "x{y"), ("ſam", "Kurt"), ("Bob", "3"), ("Bob", "")]

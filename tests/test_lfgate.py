@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from weaklab.corpus import Dataset, Instance, TEXT_TASK
-from weaklab.labelfns import ABSTAIN, KEYWORD, apply_lf
+from weaklab.corpus import Dataset, EntitySpan, Instance, RELATION_TASK, TEXT_TASK
+from weaklab.labelfns import ABSTAIN, KEYWORD, PATTERN, apply_lf
 from weaklab.lfgate import (
     ADMITTED,
     REJECTED,
@@ -213,6 +213,35 @@ class TestAdmissionGate:
     def test_empty_gate_matrix_shape(self):
         gate = AdmissionGate(_tiny_dataset())
         assert gate.train_matrix().shape == (5, 0)
+
+
+def _relation_dataset():
+    """Rows whose entities turn the unsafe templates below into regex syntax."""
+    def inst(i, text, e1, e2, label=None):
+        s1, s2 = text.index(e1), text.index(e2)
+        return Instance(id=i, text=text, gold_label=label,
+                        entity1=EntitySpan(e1, s1, s1 + len(e1)),
+                        entity2=EntitySpan(e2, s2, s2 + len(e2)))
+
+    rows = [("qqab 3 x", "q", "3"), ("q1ab 3", "1", "3"), ("3 xzz 1", "3", "1"),
+            ("aa b 1 3", "1", "3")]
+    return Dataset(task_kind=RELATION_TASK, classes=["NONE", "REL"], default_class=None,
+                   train=[inst(i, *row) for i, row in enumerate(rows)],
+                   valid=[inst(10 + i, *row, label=1) for i, row in enumerate(rows)],
+                   test=[])
+
+
+@pytest.mark.parametrize("template", [
+    r"(a)(?:\1)++ {{E1}} {{E2}}",  # backreference inside a possessive repeat
+    r"{{E1}}(?:(?=b)x)*+ {{E2}}",  # lookahead inside a possessive repeat
+    r"(q)\{{E1}}ab {{E2}}",  # E1 "1" makes the backreference (q)\1ab
+    r"{{{E1}}}.zz {{E2}}",  # E1 "3" makes the repeat {3} with nothing to repeat
+])
+def test_unsafe_pattern_templates_get_a_validity_verdict(template):
+    gate = AdmissionGate(_relation_dataset(), FilterConfig(enable_accuracy=False))
+    new, verdicts = gate.admit([CandidateSpec(PATTERN, template, 1)])
+    assert new == []
+    assert verdicts[0].outcome == REJECTED and verdicts[0].stage == STAGE_VALIDITY
 
 
 def test_filter_config_validation():

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from weaklab import aggregate, labelfns, pipeline, plmclient
+from weaklab import aggregate, labelfns, pipeline, plmclient, select
 from weaklab.corpus import Dataset, Instance, TEXT_TASK, load_dataset
 from weaklab.labelfns import ABSTAIN, KEYWORD
 from weaklab.pipeline import (
@@ -203,6 +203,55 @@ class TestRun:
     def test_soft_labels_variant(self, corpus_paths):
         report = run(_config(corpus_paths, soft_labels=True))
         assert report.complete and report.metrics["test_score"] is not None
+
+
+def _count_calls(monkeypatch, module, name):
+    """Replace module.name with a wrapper that records each call."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestIterationCost:
+    # an unreliable annotator, so some iterations admit nothing
+    DEGRADED = dict(sampler="uncertainty", n_iterations=12, mock_p_label=0.5,
+                    mock_p_keyword=0.2)
+
+    @pytest.mark.parametrize("label_model, fit", [("dawid_skene", "dawid_skene_em"),
+                                                  ("weighted", "weighted_vote"),
+                                                  ("majority", "majority_vote")])
+    def test_label_model_fits_once_per_admitting_iteration(self, corpus_paths, monkeypatch,
+                                                           label_model, fit):
+        calls = _count_calls(monkeypatch, aggregate, fit)
+        report = run(_config(corpus_paths, label_model=label_model, **self.DEGRADED))
+        admitted = [r["admitted"] for r in report.iterations]
+        first = next(t for t, a in enumerate(admitted) if a)
+        assert 0 in admitted[first:]  # an iteration the fit is skipped for
+        assert len(calls) == sum(1 for a in admitted if a)
+
+    @pytest.mark.parametrize("label_model", ["dawid_skene", "weighted"])
+    def test_reused_fit_matches_refitting_every_iteration(self, corpus_paths, monkeypatch,
+                                                          label_model):
+        config = _config(corpus_paths, label_model=label_model, **self.DEGRADED)
+        reused = run(config).to_json()
+        original = pipeline.refit
+        monkeypatch.setattr(pipeline, "refit",
+                            lambda *args, problabels=None, **kwargs: original(*args, **kwargs))
+        assert run(config).to_json() == reused
+
+    # lfbench times iterations from the entries of the sampler attribute
+    @pytest.mark.parametrize("sampler", ["random", "uncertainty", "seu"])
+    def test_run_enters_the_sampler_attribute_once_per_iteration(self, corpus_paths,
+                                                                 monkeypatch, sampler):
+        calls = _count_calls(monkeypatch, select, sampler + "_sampler")
+        report = run(_config(corpus_paths, sampler=sampler))
+        assert len(calls) == len(report.iterations) == 8
 
 
 class TestRecordReplay:

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weaklab.corpus import Instance
-from weaklab.downstream import LinearModel
+from weaklab.downstream import LinearModel, predict_proba
 from weaklab.select import (
     PoolExhausted,
     SelectionState,
     SeuState,
     entropy,
+    entropy_rows,
     expected_utility,
     random_sampler,
     seu_sampler,
@@ -35,6 +36,10 @@ class TestEntropy:
             entropy([0.7, 0.7])
         with pytest.raises(ValueError):
             entropy([-0.5, 1.5])
+
+    def test_rows_match_the_vector_form(self):
+        probs = np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.2, 0.3, 0.5]])
+        assert entropy_rows(probs).tolist() == [entropy(p) for p in probs]
 
     @given(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=6))
     def test_nonnegative_and_bounded(self, raw):
@@ -72,6 +77,17 @@ class TestRandomSampler:
             random_sampler(SelectionState(pool=[]), random.Random(0))
 
 
+def _scan_pick(pool, model, features_by_id):
+    """The reference pick: one predict_proba and entropy call per pool row,
+    in id order, keeping the first of scores within 1e-15 of each other."""
+    best_id, best_score = None, -1.0
+    for iid in sorted(pool):
+        score = entropy(predict_proba(model, features_by_id[iid])[0])
+        if score > best_score + 1e-15:
+            best_id, best_score = iid, score
+    return best_id
+
+
 class TestUncertaintySampler:
     def _model(self):
         # P(class 1 | x) = sigmoid(w . x); entropy peaks where logits are equal
@@ -86,6 +102,41 @@ class TestUncertaintySampler:
         features = {4: np.array([2.0]), 7: np.array([2.0])}
         state = SelectionState(pool=[7, 4])
         assert uncertainty_sampler(state, self._model(), features) == 4
+
+    def test_duplicate_rows_pick_the_lowest_id(self):
+        model = LinearModel(weights=np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]),
+                            bias=np.zeros(3), l2=0.0)
+        top = np.array([0.3, 0.2])
+        features = {9: top.copy(), 3: np.array([4.0, 0.0]), 5: top.copy(),
+                    7: np.array([0.0, -3.0]), 11: top.copy()}
+        assert _scan_pick(features, model, features) == 5
+        assert uncertainty_sampler(SelectionState(pool=list(features)), model, features) == 5
+
+    def test_rows_with_exact_zero_probabilities(self):
+        # a logit gap of 800 underflows exp to 0.0: id 6 scores (0, 1/2, 1/2),
+        # the most uncertain row, and ids 2 and 8 carry exact zeros as well
+        model = LinearModel(weights=np.array([[0.0, 0.0], [800.0, 0.0], [800.0, 1.0]]),
+                            bias=np.zeros(3), l2=0.0)
+        features = {1: np.array([0.0, 5.0]), 2: np.array([1.0, 30.0]),
+                    4: np.array([0.0, 8.0]), 6: np.array([1.0, 0.0]),
+                    8: np.array([-1.0, 0.0])}
+        assert (predict_proba(model, features[6])[0] == [0.0, 0.5, 0.5]).all()
+        assert _scan_pick(features, model, features) == 6
+        assert uncertainty_sampler(SelectionState(pool=list(features)), model, features) == 6
+
+    def test_matches_the_per_row_scan(self):
+        # random 2- to 4-class models over small integer features, so rows
+        # repeat; large weight scales drive some probabilities to exact zeros
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            n_classes, dim = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+            scale = float(rng.choice([0.1, 1.0, 500.0]))
+            model = LinearModel(weights=scale * rng.normal(size=(n_classes, dim)),
+                                bias=rng.normal(size=n_classes), l2=0.0)
+            ids = rng.choice(1000, size=int(rng.integers(1, 30)), replace=False).tolist()
+            features = {iid: rng.integers(-2, 3, size=dim).astype(float) for iid in ids}
+            want = _scan_pick(ids, model, features)
+            assert uncertainty_sampler(SelectionState(pool=ids), model, features) == want
 
     def test_no_model_falls_back_to_random(self):
         state = SelectionState(pool=[5, 6, 7])
