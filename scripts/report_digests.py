@@ -6,13 +6,15 @@ Two checkouts that print the same lines produce byte-identical reports
 The grid crosses the three label models, the three samplers, few-shot and
 self-consistency prompting and hard and soft labels; it adds `lazy_retrain`
 with the random sampler, runs with the accuracy filter off, a corpus with a
-default class and a three-class corpus. Last come `weaklab eval-lfs`
-reports over a low-signal corpus, for its signature LFs plus six
-noise-keyword LFs. Corpora come from `generate_synthetic` at the size the
-test suite uses (80/40/40). Relation points, which exercise the regex LF
-path, run the three label models with the random and SEU samplers and
-chain-of-thought prompting on the benchmark's relation corpus of seed 0
-(`lfbench.corpora.relation_corpus`, 80/40/40, 200 entity names).
+default class and a three-class corpus. Relation points, which exercise the
+regex LF path, run the three label models with the random and SEU samplers
+and chain-of-thought prompting on the benchmark's relation corpus of seed 0
+(`lfbench.corpora.relation_corpus`, 80/40/40, 200 entity names). SEU runs
+with `seu_pool_cap` 25, below the 80-row pool, score a seeded sample of the
+pool with each label model. Last come `weaklab eval-lfs` reports over a
+low-signal corpus, for its signature LFs plus six noise-keyword LFs. Text
+corpora come from `generate_synthetic` at the size the test suite uses
+(80/40/40).
 
 Run from the root of a checkout; `src` may come from another checkout:
     PYTHONPATH=src python3 scripts/report_digests.py > digests.txt
@@ -90,6 +92,9 @@ def main():
         points += [("three", dict(label_model=lm, sampler="seu")) for lm in LABEL_MODELS]
         points += [("relation", dict(label_model=lm, sampler=s, prompt_method="cot"))
                    for lm, s in itertools.product(LABEL_MODELS, ("random", "seu"))]
+        # a cap below the 80-row pool: SEU scores an rng.sample of the pool
+        points += [("binary", dict(label_model=lm, sampler="seu", seu_pool_cap=25))
+                   for lm in LABEL_MODELS]
 
         for corpus_name, overrides in points:
             out, _, _, base = corpora[corpus_name]

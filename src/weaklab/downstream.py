@@ -50,19 +50,21 @@ def fit_tfidf(train_texts, min_df: int = 1, max_features: int = 50000) -> Featur
 
 def featurize(space: FeatureSpace, text: str) -> np.ndarray:
     """L2-normalized tf-idf vector; out-of-vocabulary tokens are ignored."""
-    vec = np.zeros(space.dim)
-    for token in tokenize(text):
-        idx = space.vocabulary.get(token)
-        if idx is not None:
-            vec[idx] += space.idf[idx]
-    norm = np.linalg.norm(vec)
-    if norm > 0:
-        vec /= norm
-    return vec
+    return featurize_all(space, [text])[0]
 
 
 def featurize_all(space: FeatureSpace, texts) -> np.ndarray:
-    return np.stack([featurize(space, t) for t in texts]) if texts else np.zeros((0, space.dim))
+    """One `featurize` row per text, filled into a single preallocated matrix."""
+    out = np.zeros((len(texts), space.dim))
+    for vec, text in zip(out, texts):
+        for token in tokenize(text):
+            idx = space.vocabulary.get(token)
+            if idx is not None:
+                vec[idx] += space.idf[idx]
+        norm = np.linalg.norm(vec)
+        if norm > 0:
+            vec /= norm
+    return out
 
 
 @dataclass
@@ -178,14 +180,27 @@ def binary_f1(y_true, y_pred, positive_class: int) -> float:
     return 2 * tp / (2 * tp + fp + fn)
 
 
+# Rows featurized and scored at a time when `evaluate` builds its own
+# features, so a split never needs its whole dense matrix at once.
+EVAL_BLOCK = 256
+
+
 def evaluate(model: LinearModel, space: Optional[FeatureSpace], split, metric: str = "accuracy",
              positive_class: int = 1, features: Optional[np.ndarray] = None) -> float:
-    """Score the model on a gold-labeled split with accuracy or binary F1."""
+    """Score the model on a gold-labeled split with accuracy or binary F1.
+
+    Without `features` the split is featurized and predicted EVAL_BLOCK rows
+    at a time; the predictions equal those from one matrix of every row.
+    """
     instances = list(split)
     y_true = np.array([inst.gold_label for inst in instances])
-    if features is None:
-        features = featurize_all(space, [inst.text for inst in instances])
-    y_pred = predict_proba(model, features).argmax(axis=1)
+    if features is not None:
+        y_pred = predict_proba(model, features).argmax(axis=1)
+    else:
+        y_pred = np.zeros(len(instances), dtype=np.int64)
+        for start in range(0, len(instances), EVAL_BLOCK):
+            block = featurize_all(space, [inst.text for inst in instances[start:start + EVAL_BLOCK]])
+            y_pred[start:start + len(block)] = predict_proba(model, block).argmax(axis=1)
     if metric == "accuracy":
         return accuracy_score(y_true, y_pred)
     if metric == "binary_f1":

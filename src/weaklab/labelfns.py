@@ -8,6 +8,7 @@ and are restricted to a linear-time-matchable subset.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import re
@@ -198,29 +199,53 @@ def apply_lf(lf: LabelFunction, instance: Instance) -> int:
 
 
 class KeywordIndex:
-    """One split's per-instance n-gram sets and a memo of LF matches.
+    """One split's interned n-grams and a memo of LF matches.
 
-    A keyword LF is a set lookup per instance. A pattern LF goes through
-    `apply_lf` only on instances that contain its template's required
-    literal (`_required_literal`), plus those without entities, on which
-    `apply_lf` raises; every instance when the template proves no literal.
-    Whether an LF fires depends on its kind and payload alone, so each
-    (kind, payload) is matched once per index and its vote column is then
-    one `np.where`, whatever the target class.
+    Each instance's 1-3-grams (`extract_ngrams` order, so first occurrence
+    first and no repeats) are stored as integer ids in CSR form: row i holds
+    `ids[indptr[i]:indptr[i + 1]]`, and `gram_ids` maps a gram to its id.
+    A keyword LF fires on the rows that hold its gram's id. A pattern LF
+    goes through `apply_lf` only on instances that contain its template's
+    required literal (`_required_literal`), plus those without entities, on
+    which `apply_lf` raises; every instance when the template proves no
+    literal. Whether an LF fires depends on its kind and payload alone, so
+    each (kind, payload) is matched once per index and its vote column is
+    then one `np.where`, whatever the target class.
     """
 
     def __init__(self, instances):
         self.instances = list(instances)
-        self.ngram_sets = [set(extract_ngrams(tokenize(i.text), 1, 3)) for i in self.instances]
+        self.gram_ids: dict = {}  # gram -> id, numbered in first-seen order
+        ids, indptr = [], [0]
+        for inst in self.instances:
+            ids.extend(self.gram_ids.setdefault(gram, len(self.gram_ids))
+                       for gram in extract_ngrams(tokenize(inst.text), 1, 3))
+            indptr.append(len(ids))
+        self.ids = np.array(ids, dtype=np.int32)
+        self.indptr = np.array(indptr, dtype=np.int64)
         self._matches = {}  # (kind, payload) -> bool array over instances
 
+    @functools.cached_property
+    def padded_ids(self) -> np.ndarray:
+        """Rows × longest-row id matrix, each row's ids left-aligned in order
+        and padded with `len(gram_ids)`, an id no gram has; column-major, so
+        each gram position is one contiguous column."""
+        lengths = np.diff(self.indptr)
+        out = np.full((len(self.instances), int(lengths.max(initial=0))), len(self.gram_ids),
+                      dtype=self.ids.dtype, order="F")
+        rows = np.repeat(np.arange(len(self.instances)), lengths)
+        out[rows, np.arange(len(self.ids)) - self.indptr[rows]] = self.ids
+        return out
+
     def _match(self, lf: LabelFunction) -> np.ndarray:
-        if lf.kind == KEYWORD:
-            gram = " ".join(lf.tokens)
-            return np.fromiter((gram in grams for grams in self.ngram_sets), dtype=bool,
-                               count=len(self.ngram_sets))
-        literal = _required_literal(lf.payload)
         hits = np.zeros(len(self.instances), dtype=bool)
+        if lf.kind == KEYWORD:
+            gram = self.gram_ids.get(" ".join(lf.tokens))
+            if gram is not None:
+                hits[np.searchsorted(self.indptr, np.flatnonzero(self.ids == gram),
+                                     side="right") - 1] = True
+            return hits
+        literal = _required_literal(lf.payload)
         for i, inst in enumerate(self.instances):
             if (literal is None or inst.entity1 is None or inst.entity2 is None
                     or literal.search(inst.text) is not None):

@@ -131,7 +131,7 @@ class AdmissionGate:
         # there; measured even when the accuracy stage is disabled
         self.valid_accuracies: list = []
         self.train_votes: list = []  # one np.ndarray per admitted LF
-        self._train_index = KeywordIndex(dataset.train)
+        self.train_index = KeywordIndex(dataset.train)  # the samplers read it too
         self._valid_index = KeywordIndex(dataset.valid)
         self._valid_gold = np.array([inst.gold_label for inst in dataset.valid], dtype=np.int64)
 
@@ -152,7 +152,7 @@ class AdmissionGate:
             return None, FilterVerdict(
                 REJECTED, STAGE_ACCURACY,
                 "validation accuracy %.4f < %.4f" % (acc, self.config.accuracy_threshold))
-        cand_votes = self._train_index.votes(lf)
+        cand_votes = self.train_index.votes(lf)
         if self.config.enable_redundancy:
             passed, best = redundancy_filter(cand_votes, self.train_votes, self.config)
             if not passed:

@@ -301,6 +301,8 @@ def run(config: RunConfig, backend=None, dataset: Optional[Dataset] = None) -> R
         # which lazy_retrain leaves unfitted until the loop ends
         raise ValueError("lazy_retrain needs sampler 'random', not sampler %r"
                          % config.sampler)
+    if config.seu_pool_cap is not None and config.seu_pool_cap < 1:
+        raise ValueError("seu_pool_cap must be at least 1 or None, not %r" % config.seu_pool_cap)
     if dataset is None:
         dataset = corpus.load_dataset(config.train_path, config.valid_path,
                                       config.test_path, config.schema_path)
@@ -348,7 +350,6 @@ def run(config: RunConfig, backend=None, dataset: Optional[Dataset] = None) -> R
     space = downstream.fit_tfidf([inst.text for inst in dataset.train],
                                  min_df=config.min_df, max_features=config.max_features)
     X_train = downstream.featurize_all(space, [inst.text for inst in dataset.train])
-    X_test = downstream.featurize_all(space, [inst.text for inst in dataset.test])
     train_by_id = {inst.id: inst for inst in dataset.train}
     features_by_id = {inst.id: X_train[i] for i, inst in enumerate(dataset.train)}
 
@@ -418,8 +419,7 @@ def run(config: RunConfig, backend=None, dataset: Optional[Dataset] = None) -> R
                                   gate.valid_accuracies, X_train, model)
 
     metrics = compute_metrics(dataset, gate.admitted, gate.train_matrix(), problabels,
-                              model, space, records, positive_class,
-                              test_features=X_test)
+                              model, space, records, positive_class)
     report = RunReport(config=config.experiment_dict(), seed=config.seed, metrics=metrics,
                        iterations=[r.to_record() for r in records],
                        final_lfs=[labelfns.lf_to_record(lf) for lf in gate.admitted],
@@ -458,8 +458,8 @@ def _select_query(config, selection, problabels, model, rng, gate, train_by_id,
                     if lf.kind == KEYWORD and acc is not None}
         seu = select.SeuState(candidate_accuracy=accuracy, uncovered=uncovered,
                               posteriors=posteriors)
-        return select.seu_sampler(selection, seu, train_by_id,
-                                  pool_cap=config.seu_pool_cap, rng=rng)
+        return select.seu_sampler(selection, seu, train_by_id, pool_cap=config.seu_pool_cap,
+                                  rng=rng, index=gate.train_index)
     raise ValueError("unknown sampler %r" % config.sampler)
 
 

@@ -3,14 +3,13 @@ expected-utility scoring of the candidate LFs an annotator would return."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .corpus import extract_ngrams, tokenize
 from .downstream import predict_proba
+from .labelfns import KeywordIndex
 
 
 class PoolExhausted(RuntimeError):
@@ -101,20 +100,22 @@ def expected_utility(candidates) -> float:
     return sum((a / total) * (a * ncov) for a, ncov in candidates)
 
 
-def _instance_candidates(instance, seu: SeuState, ngram_cover_counts):
-    cls = seu.posteriors.get(instance.id)
-    label = int(np.argmax(cls)) if cls is not None else 0
-    out = []
-    for gram in extract_ngrams(tokenize(instance.text), 1, 3):
-        acc = seu.candidate_accuracy.get((gram, label), seu.accuracy_prior)
-        out.append((acc, ngram_cover_counts(gram)))
-    return out
-
-
 def seu_sampler(state: SelectionState, seu: SeuState, train_by_id, pool_cap: Optional[int] = None,
-                rng=None) -> int:
+                rng=None, index: Optional[KeywordIndex] = None) -> int:
     """Pick the pool instance whose candidate LFs have maximal expected
-    utility; ties go to the lowest id."""
+    utility; ties go to the lowest id.
+
+    An instance's candidates are its 1-3-grams, each for the instance's
+    label (the argmax of its posterior, 0 without one), with the accuracy
+    `candidate_accuracy` gives that (gram, label) or `accuracy_prior`, and
+    covering the uncovered train instances that hold the gram. `index` is a
+    `KeywordIndex` over the train instances; without one, `train_by_id`'s
+    values are indexed. The score is `expected_utility` of the candidates,
+    computed for the whole pool at once: sums run over the grams in
+    `extract_ngrams` order, one column of `index.padded_ids` at a time, so
+    every score equals Python's left-to-right `sum` bit for bit, and no
+    pool × grams float matrix is held.
+    """
     if not state.pool:
         raise PoolExhausted("selection pool is empty")
     pool = state.pool
@@ -123,24 +124,42 @@ def seu_sampler(state: SelectionState, seu: SeuState, train_by_id, pool_cap: Opt
             pool = pool[:pool_cap]
         else:
             pool = sorted(rng.sample(pool, pool_cap))
+    if index is None:
+        index = KeywordIndex(train_by_id.values())
+    row_of = {inst.id: i for i, inst in enumerate(index.instances)}
+    pad = len(index.gram_ids)  # the padding id: no gram, accuracy 0, covers nothing
 
-    uncovered_grams = {}
-    for iid in seu.uncovered:
-        inst = train_by_id.get(iid)
-        if inst is None:
-            continue
-        for gram in set(extract_ngrams(tokenize(inst.text), 1, 3)):
-            uncovered_grams[gram] = uncovered_grams.get(gram, 0) + 1
+    uncovered = np.zeros(len(index.instances), dtype=bool)
+    uncovered[[row_of[iid] for iid in seu.uncovered if iid in row_of]] = True
+    cover = np.bincount(index.ids[np.repeat(uncovered, np.diff(index.indptr))], minlength=pad + 1)
 
-    def cover_count(gram):
-        return uncovered_grams.get(gram, 0)
+    labels = np.zeros(len(pool), dtype=np.int64)
+    known = [k for k, iid in enumerate(pool) if iid in seu.posteriors]
+    if known:
+        labels[known] = np.argmax([seu.posteriors[pool[k]] for k in known], axis=1)
+    n_labels = int(labels.max()) + 1
+    table = np.full((n_labels, pad + 1), float(seu.accuracy_prior))
+    table[:, pad] = 0.0
+    for (gram, label), acc in seu.candidate_accuracy.items():
+        gram_id = index.gram_ids.get(gram)
+        if gram_id is not None and 0 <= label < n_labels:
+            table[label, gram_id] = acc
 
-    best_id = None
-    best_score = -math.inf
-    for iid in pool:
-        candidates = _instance_candidates(train_by_id[iid], seu, cover_count)
-        score = expected_utility(candidates)
-        if score > best_score + 1e-12:
-            best_score = score
-            best_id = iid
-    return state.take(best_id)
+    rows = np.array([row_of[iid] for iid in pool], dtype=np.int64)
+    total = np.zeros(len(pool))
+    for column in index.padded_ids.T:
+        total += table[labels, column[rows]]
+    positive = total > 0
+    divisor = np.where(positive, total, 1.0)
+    utility = np.zeros(len(pool))
+    for column in index.padded_ids.T:
+        grams = column[rows]
+        acc = table[labels, grams]
+        utility += (acc / divisor) * (acc * cover[grams])
+    scores = np.where(positive, utility, 0.0).tolist()
+
+    best = 0
+    for k in range(1, len(pool)):
+        if scores[k] > scores[best] + 1e-12:
+            best = k
+    return state.take(pool[best])

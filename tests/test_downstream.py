@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weaklab.corpus import Instance
+from weaklab import downstream
+from weaklab.corpus import Instance, tokenize
 from weaklab.downstream import (
+    EVAL_BLOCK,
     LinearModel,
     accuracy_score,
     binary_f1,
@@ -62,6 +64,30 @@ class TestTfidf:
     def test_featurize_all_empty(self):
         space = fit_tfidf(self.CORPUS)
         assert featurize_all(space, []).shape == (0, space.dim)
+
+    def test_featurize_all_equals_the_per_text_loop(self):
+        rng = np.random.default_rng(0)
+        vocab = ["w%d" % k for k in range(40)]
+        texts = [" ".join(rng.choice(vocab, size=int(rng.integers(0, 25)))) for _ in range(60)]
+        space = fit_tfidf(texts[:30], min_df=2)
+        got = featurize_all(space, texts)
+        for row, text in zip(got, texts):
+            assert row.tolist() == _featurize_reference(space, text).tolist()
+            assert featurize(space, text).tolist() == row.tolist()
+
+
+def _featurize_reference(space, text):
+    """The per-text TF-IDF loop: one zero vector, idf added per token, then
+    divided by its L2 norm."""
+    vec = np.zeros(space.dim)
+    for token in tokenize(text):
+        idx = space.vocabulary.get(token)
+        if idx is not None:
+            vec[idx] += space.idf[idx]
+    norm = np.linalg.norm(vec)
+    if norm > 0:
+        vec /= norm
+    return vec
 
 
 def numeric_grad(weights, bias, features, soft, l2, eps=1e-6):
@@ -191,6 +217,31 @@ class TestMetrics:
         model = train_logreg(features, [0, 1], 2)
         assert evaluate(model, space, split, "accuracy") == 1.0
         assert evaluate(model, space, split, "binary_f1", positive_class=1) == 1.0
+
+    @pytest.mark.parametrize("n_test", [0, 1, EVAL_BLOCK - 1, EVAL_BLOCK, EVAL_BLOCK + 1, 1000])
+    def test_evaluate_in_blocks_equals_one_matrix(self, monkeypatch, n_test):
+        rng = np.random.default_rng(n_test)
+        vocab = ["w%d" % k for k in range(60)]
+        texts = [" ".join(rng.choice(vocab, size=int(rng.integers(0, 12)))) for _ in range(n_test)]
+        space = fit_tfidf([" ".join(vocab[:50])] + texts[:100])
+        model = LinearModel(weights=rng.normal(size=(3, space.dim)), bias=rng.normal(size=3),
+                            l2=0.0)
+        split = [Instance(id=i, text=t, gold_label=i % 3) for i, t in enumerate(texts)]
+        want = predict_proba(model, featurize_all(space, texts)).argmax(axis=1)
+
+        predicted, block_rows = [], []
+        real_featurize_all = downstream.featurize_all
+
+        def recording(space, texts):
+            block_rows.append(len(texts))
+            return real_featurize_all(space, texts)
+
+        monkeypatch.setattr(downstream, "featurize_all", recording)
+        monkeypatch.setattr(downstream, "accuracy_score",
+                            lambda y_true, y_pred: predicted.append(y_pred) or 0.0)
+        evaluate(model, space, split, "accuracy")
+        assert predicted[0].tolist() == want.tolist()
+        assert max(block_rows, default=0) <= EVAL_BLOCK and sum(block_rows) == n_test
 
     def test_evaluate_unknown_metric(self):
         model = LinearModel(weights=np.zeros((2, 1)), bias=np.zeros(2), l2=0.0)

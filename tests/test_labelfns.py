@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from weaklab import labelfns
-from weaklab.corpus import Dataset, EntitySpan, Instance, RELATION_TASK, TEXT_TASK, tokenize
+from weaklab.corpus import (
+    Dataset,
+    EntitySpan,
+    Instance,
+    RELATION_TASK,
+    TEXT_TASK,
+    extract_ngrams,
+    tokenize,
+)
 from weaklab.labelfns import (
     ABSTAIN,
     KEYWORD,
@@ -182,6 +190,14 @@ INDEX_MIDDLES = ["song", "ſong", "SONG", "kind song", "Kind  ſONG", "kind, s
                  "sang a song to", "no match here", "xxx", "x{3}", "sing", "sonnet"]
 
 
+# Keyword rows and phrases: repeated tokens, punctuation and case inside a
+# phrase or a row, an empty row, and phrases no row holds.
+KEYWORD_ROWS = ["free stuff for free people", "Free, stuff!", "stuff-for free", "",
+                "free free free", "people for free stuff now", "FREE", "free stuff free stuff"]
+KEYWORD_PHRASES = ["free", "free stuff", "stuff for free", "free free", "free free free",
+                   "Free, STUFF", "for", "absent", "free absent", "stuff free stuff", "now!"]
+
+
 def index_rows():
     rows = []
     for e1, e2 in INDEX_ENTITIES:
@@ -206,6 +222,34 @@ class TestKeywordIndex:
         for cls in (0, 1, 0):
             lf = make(cls)
             assert index.votes(lf).tolist() == [apply_lf(lf, r) for r in rows]
+
+    @pytest.mark.parametrize("phrase", KEYWORD_PHRASES)
+    def test_keyword_votes_equal_apply_lf(self, phrase):
+        rows = [Instance(id=i, text=text) for i, text in enumerate(KEYWORD_ROWS)]
+        lf = kw(phrase)
+        assert KeywordIndex(rows).votes(lf).tolist() == [apply_lf(lf, r) for r in rows]
+
+    @given(st.lists(st.lists(st.sampled_from(["a", "b", "c"]), max_size=7), min_size=1,
+                    max_size=8),
+           st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=3))
+    def test_keyword_votes_equal_apply_lf_on_random_rows(self, rows, phrase):
+        rows = [Instance(id=i, text="  ".join(tokens)) for i, tokens in enumerate(rows)]
+        lf = kw(" ".join(phrase))
+        assert KeywordIndex(rows).votes(lf).tolist() == [apply_lf(lf, r) for r in rows]
+
+    def test_rows_hold_their_grams_in_first_occurrence_order(self):
+        rows = [Instance(id=i, text=text) for i, text in enumerate(KEYWORD_ROWS)]
+        index = KeywordIndex(rows)
+        assert list(index.gram_ids.values()) == list(range(len(index.gram_ids)))
+        grams = list(index.gram_ids)
+        pad = len(grams)
+        for i, row in enumerate(rows):
+            want = extract_ngrams(tokenize(row.text), 1, 3)
+            ids = index.ids[index.indptr[i]:index.indptr[i + 1]]
+            assert [grams[k] for k in ids] == want
+            padded = index.padded_ids[i].tolist()
+            assert padded == ids.tolist() + [pad] * (index.padded_ids.shape[1] - len(ids))
+        assert index.padded_ids.shape == (len(rows), max(index.indptr[1:] - index.indptr[:-1]))
 
     def test_repeated_votes_are_memoized_per_index(self, monkeypatch):
         calls = []

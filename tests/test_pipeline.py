@@ -146,6 +146,21 @@ class TestRun:
         with pytest.raises(ValueError, match="lazy_retrain.*sampler %r" % sampler):
             run(_config(corpus_paths, lazy_retrain=True, sampler=sampler))
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_seu_pool_cap_below_one_rejected_before_the_loop(self, corpus_paths, cap):
+        class CountingBackend:
+            name = "counting"
+            calls = 0
+
+            def complete(self, request):
+                CountingBackend.calls += 1
+                return ["LABEL: class0\nKEYWORDS: NONE"] * request.n
+
+        with pytest.raises(ValueError, match="seu_pool_cap must be at least 1"):
+            run(_config(corpus_paths, sampler="seu", seu_pool_cap=cap),
+                backend=CountingBackend())
+        assert CountingBackend.calls == 0
+
     def test_pool_exhaustion_truncates_with_warning(self, corpus_paths):
         report = run(_config(corpus_paths, n_iterations=200))
         assert report.complete

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weaklab.corpus import Instance
+from weaklab.corpus import Instance, extract_ngrams, tokenize
 from weaklab.downstream import LinearModel, predict_proba
+from weaklab.labelfns import KeywordIndex
 from weaklab.select import (
     PoolExhausted,
     SelectionState,
@@ -232,3 +233,90 @@ class TestSeuSampler:
     def test_empty_pool(self):
         with pytest.raises(PoolExhausted):
             seu_sampler(SelectionState(pool=[]), SeuState({}, set(), {}), {})
+
+
+def _reference_candidates(instance, seu, cover_count):
+    cls = seu.posteriors.get(instance.id)
+    label = int(np.argmax(cls)) if cls is not None else 0
+    return [(seu.candidate_accuracy.get((gram, label), seu.accuracy_prior), cover_count(gram))
+            for gram in extract_ngrams(tokenize(instance.text), 1, 3)]
+
+
+def _reference_seu_pick(state, seu, train_by_id, pool_cap=None, rng=None):
+    """The per-row SEU scan: tokenize every uncovered and every pool row, score
+    each pool row with `expected_utility` in id order, and keep the first of
+    scores within 1e-12 of each other."""
+    pool = state.pool
+    if pool_cap is not None and len(pool) > pool_cap:
+        pool = pool[:pool_cap] if rng is None else sorted(rng.sample(pool, pool_cap))
+    uncovered_grams = {}
+    for iid in seu.uncovered:
+        inst = train_by_id.get(iid)
+        if inst is not None:
+            for gram in set(extract_ngrams(tokenize(inst.text), 1, 3)):
+                uncovered_grams[gram] = uncovered_grams.get(gram, 0) + 1
+    best_id, best_score = None, -math.inf
+    for iid in pool:
+        score = expected_utility(_reference_candidates(
+            train_by_id[iid], seu, lambda gram: uncovered_grams.get(gram, 0)))
+        if score > best_score + 1e-12:
+            best_id, best_score = iid, score
+    return state.take(best_id)
+
+
+# Few tokens and separators, so texts repeat, grams repeat within a row and
+# punctuation splits tokens; accuracies include 0 and a prior of 0, so a
+# row's accuracy total can be 0.
+_TOKENS = ["alpha", "beta", "gamma", "Beta", "delta"]
+_SEPARATORS = [" ", ", ", "! ", "-"]
+_ACCURACIES = st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.6, 2 / 3, 0.7, 0.9, 1.0])
+
+
+@st.composite
+def seu_cases(draw):
+    n_classes = draw(st.sampled_from([2, 3]))
+    ids = draw(st.lists(st.integers(0, 60), min_size=1, max_size=12, unique=True))
+    texts = [draw(st.sampled_from(_SEPARATORS)).join(
+        draw(st.lists(st.sampled_from(_TOKENS), max_size=6))) for _ in ids]
+    if len(ids) > 1 and draw(st.booleans()):
+        texts[-1] = texts[0]
+    train = {iid: Instance(id=iid, text=text) for iid, text in zip(ids, texts)}
+    probs = st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=n_classes,
+                     max_size=n_classes)
+    posteriors = {iid: draw(probs) for iid in ids if draw(st.booleans())}
+    uncovered = {iid for iid in ids if draw(st.booleans())}
+    uncovered |= set(draw(st.lists(st.integers(100, 110), max_size=3)))
+    grams = sorted({g for text in texts for g in extract_ngrams(tokenize(text), 1, 3)})
+    grams += ["zeta", "alpha zeta"]  # accuracy keys for grams no row holds
+    keys = st.tuples(st.sampled_from(grams), st.integers(0, n_classes - 1))
+    accuracy = draw(st.dictionaries(keys, _ACCURACIES, max_size=10))
+    seu = SeuState(candidate_accuracy=accuracy, uncovered=uncovered, posteriors=posteriors,
+                   accuracy_prior=draw(st.sampled_from([0.0, 0.5])))
+    pool_cap = draw(st.one_of(st.none(), st.integers(1, len(ids))))
+    order = draw(st.permutations(ids))
+    return train, seu, pool_cap, draw(st.integers(0, 10)), order
+
+
+class TestSeuMatchesPerRowScan:
+    @settings(max_examples=300, deadline=None)
+    @given(seu_cases(), st.booleans())
+    def test_every_pick_of_a_drained_pool(self, case, with_index):
+        train, seu, pool_cap, seed, order = case
+        # the index may list the rows in any order; the sampler maps ids to rows
+        index = KeywordIndex([train[iid] for iid in order]) if with_index else None
+        want_state, got_state = SelectionState(pool=list(train)), SelectionState(pool=list(train))
+        want_rng, got_rng = random.Random(seed), random.Random(seed)
+        while want_state.pool:
+            want = _reference_seu_pick(want_state, seu, train, pool_cap, want_rng)
+            got = seu_sampler(got_state, seu, train, pool_cap, got_rng, index=index)
+            assert got == want
+        assert got_state.queried == want_state.queried
+
+    def test_duplicate_text_with_punctuation_picks_the_lowest_id(self):
+        train = {5: Instance(id=5, text="beta, beta gamma!"), 2: Instance(id=2, text="beta gamma"),
+                 9: Instance(id=9, text="Beta gamma"), 4: Instance(id=4, text="")}
+        seu = SeuState(candidate_accuracy={("beta gamma", 1): 0.9}, uncovered={2, 9, 4, 77},
+                       posteriors={2: [0.2, 0.8], 9: [0.2, 0.8], 5: [0.5, 0.5]})
+        state = SelectionState(pool=list(train))
+        picks = [seu_sampler(state, seu, train) for _ in range(4)]
+        assert picks == [2, 9, 5, 4]
