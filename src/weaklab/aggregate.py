@@ -47,7 +47,7 @@ class LabelModelKind:
     em_max_iters: int = 100
     em_tol: float = 1e-6
     smoothing: float = 1.0
-    em_restarts: int = 3  # perturbed-init restarts on top of the majority-vote init
+    em_restarts: int = 3  # cold fits: perturbed-init restarts on top of the majority-vote init
 
     def __post_init__(self):
         if self.em_max_iters < 1:
@@ -250,12 +250,20 @@ class DawidSkeneResult:
 
 
 def dawid_skene_em(entries: np.ndarray, n_classes: int, kind: Optional[LabelModelKind] = None,
-                   instance_ids=None) -> DawidSkeneResult:
+                   instance_ids=None, *, warm: Optional[ProbLabels] = None) -> DawidSkeneResult:
     """Abstain-aware Dawid-Skene EM.
 
-    Initialized from majority-vote posteriors; a few deterministic perturbed
-    restarts guard against symmetric fixed points, and the run with the best
-    penalized log-likelihood wins (ties go to the plain majority-vote init).
+    A cold fit is initialized from majority-vote posteriors; em_restarts
+    deterministic perturbed restarts guard against symmetric fixed points,
+    and the run with the best penalized log-likelihood wins (ties go to the
+    plain majority-vote init).
+
+    `warm` holds the posteriors of an earlier fit over the same rows, e.g.
+    before the newest vote columns were added. A warm fit is one EM run and
+    no restarts (incremental EM; Neal & Hinton 1998): rows that `warm`
+    covers start from its posteriors, newly covered rows from their
+    majority-vote rows. A `warm` that covers no row has no posteriors to
+    start from, and the fit is cold.
 
     Each EM iteration is one SQUAREM cycle (see _em_run): two EM steps plus
     a squared extrapolation that is kept only when it does not lower the
@@ -274,17 +282,25 @@ def dawid_skene_em(entries: np.ndarray, n_classes: int, kind: Optional[LabelMode
         raise ValueError("no covered instance: every LF abstained everywhere")
     # Uncovered rows carry no evidence; EM runs on the covered submatrix.
     design = _vote_design(entries[covered], n_classes)
-    best = None
-    rng = np.random.default_rng(12345)
-    for r in range(kind.em_restarts + 1):
-        init = mv.probs[covered].copy()
-        if r > 0:
-            noise = rng.uniform(0.0, 0.2, size=init.shape)
-            init = init + noise
-            init /= init.sum(axis=1, keepdims=True)
-        result = _em_run(design, init, kind)
-        if best is None or result[4][-1] > best[4][-1] + 1e-9:
-            best = result
+    if warm is not None and (warm.probs.shape != mv.probs.shape
+                             or warm.covered.shape != covered.shape):
+        raise ValueError("warm posteriors have shape %r, expected %r"
+                         % (warm.probs.shape, mv.probs.shape))
+    if warm is not None and warm.covered.any():
+        init = np.where(warm.covered[covered, None], warm.probs[covered], mv.probs[covered])
+        best = _em_run(design, init, kind)
+    else:
+        best = None
+        rng = np.random.default_rng(12345)
+        for r in range(kind.em_restarts + 1):
+            init = mv.probs[covered].copy()
+            if r > 0:
+                noise = rng.uniform(0.0, 0.2, size=init.shape)
+                init = init + noise
+                init /= init.sum(axis=1, keepdims=True)
+            result = _em_run(design, init, kind)
+            if best is None or result[4][-1] > best[4][-1] + 1e-9:
+                best = result
     sub_posteriors, prior, confusions, propensities, history, converged = best
     posteriors = np.full((entries.shape[0], n_classes), 1.0 / n_classes)
     posteriors[covered] = sub_posteriors

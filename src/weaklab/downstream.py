@@ -8,6 +8,7 @@ feature matrix directly to train_logreg.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -72,6 +73,10 @@ class LinearModel:
     weights: np.ndarray  # (C, dim)
     bias: np.ndarray  # (C,)
     l2: float
+    # how train_logreg ended; None on a model it did not fit
+    n_iter: Optional[int] = None  # accepted gradient steps
+    grad_norm: Optional[float] = None  # max-abs gradient at the returned weights
+    converged: Optional[bool] = None  # False when the fit stopped at max_iters
 
     @property
     def n_classes(self):
@@ -83,7 +88,9 @@ class LinearModel:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
+    # the row max taken column by column: max is exact in any order, and a
+    # strided reduction over a few columns is slower than C-1 np.maximum calls
+    z = logits - functools.reduce(np.maximum, logits.T)[:, None]
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
 
@@ -103,24 +110,44 @@ def _as_soft(labels, n, n_classes) -> np.ndarray:
     return labels
 
 
-def loss_and_grad(weights, bias, features, soft_labels, l2):
-    """Mean cross-entropy plus (l2/2)*||W||^2 (bias unregularized), with
-    analytic gradients."""
+def _objective(weights, bias, features, soft_labels, l2):
+    """The loss of `loss_and_grad` and the class probabilities it came from."""
     n = features.shape[0]
     probs = _softmax(features @ weights.T + bias)
     eps = 1e-300
     loss = -float((soft_labels * np.log(probs + eps)).sum()) / n
     loss += 0.5 * l2 * float((weights ** 2).sum())
-    delta = (probs - soft_labels) / n
-    grad_w = delta.T @ features + l2 * weights
-    grad_b = delta.sum(axis=0)
-    return loss, grad_w, grad_b
+    return loss, probs
+
+
+def _gradient(probs, weights, features, soft_labels, l2):
+    """The gradient of `loss_and_grad` from the probabilities `_objective` returned."""
+    delta = (probs - soft_labels) / features.shape[0]
+    return delta.T @ features + l2 * weights, delta.sum(axis=0)
+
+
+def loss_and_grad(weights, bias, features, soft_labels, l2):
+    """Mean cross-entropy plus (l2/2)*||W||^2 (bias unregularized), with
+    analytic gradients."""
+    loss, probs = _objective(weights, bias, features, soft_labels, l2)
+    return (loss, *_gradient(probs, weights, features, soft_labels, l2))
+
+
+def _max_abs(grad_w, grad_b) -> float:
+    return max(np.abs(grad_w).max(initial=0.0), np.abs(grad_b).max(initial=0.0))
 
 
 def train_logreg(features: np.ndarray, labels, n_classes: int, l2: float = 1e-4,
                  max_iters: int = 1000, grad_tol: float = 1e-6,
                  init: Optional[LinearModel] = None) -> LinearModel:
     """Full-batch gradient descent with backtracking (Armijo) line search.
+
+    Each iteration first tries twice the last accepted step (at most 1e4) and
+    halves it until the loss falls by at least 1e-4 * step * |grad|^2 (or the
+    step drops below 1e-12). Trial steps evaluate only the loss; the gradient
+    is computed once per accepted step, from the probabilities its loss
+    already holds. The fit stops once the max-abs gradient is below grad_tol
+    (converged) or after max_iters steps.
 
     Deterministic from zero initialization; `init` enables warm starts when
     retraining across pipeline iterations.
@@ -136,24 +163,26 @@ def train_logreg(features: np.ndarray, labels, n_classes: int, l2: float = 1e-4,
         weights = np.zeros((n_classes, dim))
         bias = np.zeros(n_classes)
     step = 1.0
+    n_iter = 0
     loss, grad_w, grad_b = loss_and_grad(weights, bias, features, soft, l2)
-    for _ in range(max_iters):
-        grad_norm = max(np.abs(grad_w).max(initial=0.0), np.abs(grad_b).max(initial=0.0))
-        if grad_norm < grad_tol:
-            break
+    grad_norm = _max_abs(grad_w, grad_b)
+    while n_iter < max_iters and not grad_norm < grad_tol:  # a NaN norm keeps going
         grad_sq = float((grad_w ** 2).sum() + (grad_b ** 2).sum())
         # backtracking line search on the Armijo condition
         step = min(step * 2.0, 1e4)
         while True:
             new_w = weights - step * grad_w
             new_b = bias - step * grad_b
-            new_loss, new_gw, new_gb = loss_and_grad(new_w, new_b, features, soft, l2)
+            new_loss, probs = _objective(new_w, new_b, features, soft, l2)
             if new_loss <= loss - 1e-4 * step * grad_sq or step < 1e-12:
                 break
             step *= 0.5
-        weights, bias = new_w, new_b
-        loss, grad_w, grad_b = new_loss, new_gw, new_gb
-    return LinearModel(weights=weights, bias=bias, l2=l2)
+        weights, bias, loss = new_w, new_b, new_loss
+        grad_w, grad_b = _gradient(probs, weights, features, soft, l2)
+        grad_norm = _max_abs(grad_w, grad_b)
+        n_iter += 1
+    return LinearModel(weights=weights, bias=bias, l2=l2, n_iter=n_iter,
+                       grad_norm=float(grad_norm), converged=bool(grad_norm < grad_tol))
 
 
 def predict_proba(model: LinearModel, features: np.ndarray) -> np.ndarray:

@@ -211,19 +211,28 @@ class KeywordIndex:
     literal. Whether an LF fires depends on its kind and payload alone, so
     each (kind, payload) is matched once per index and its vote column is
     then one `np.where`, whatever the target class.
+
+    The n-grams are interned on first use of `gram_ids`, `ids` or `indptr`,
+    so an index that only matches pattern LFs never tokenizes its split.
     """
 
     def __init__(self, instances):
         self.instances = list(instances)
-        self.gram_ids: dict = {}  # gram -> id, numbered in first-seen order
+        self._matches = {}  # (kind, payload) -> bool array over instances
+
+    @functools.cached_property
+    def _interned(self):
+        gram_ids: dict = {}  # gram -> id, numbered in first-seen order
         ids, indptr = [], [0]
         for inst in self.instances:
-            ids.extend(self.gram_ids.setdefault(gram, len(self.gram_ids))
+            ids.extend(gram_ids.setdefault(gram, len(gram_ids))
                        for gram in extract_ngrams(tokenize(inst.text), 1, 3))
             indptr.append(len(ids))
-        self.ids = np.array(ids, dtype=np.int32)
-        self.indptr = np.array(indptr, dtype=np.int64)
-        self._matches = {}  # (kind, payload) -> bool array over instances
+        return gram_ids, np.array(ids, dtype=np.int32), np.array(indptr, dtype=np.int64)
+
+    gram_ids = property(lambda self: self._interned[0])
+    ids = property(lambda self: self._interned[1])
+    indptr = property(lambda self: self._interned[2])
 
     @functools.cached_property
     def padded_ids(self) -> np.ndarray:

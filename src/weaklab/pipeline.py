@@ -245,7 +245,7 @@ def build_backend(config: RunConfig, dataset: Dataset):
 
 
 def _fit_label_model(config: RunConfig, dataset: Dataset, train_matrix: np.ndarray,
-                     valid_accuracies) -> aggregate.ProbLabels:
+                     valid_accuracies, warm=None) -> aggregate.ProbLabels:
     ids = [inst.id for inst in dataset.train]
     n, n_classes = len(ids), dataset.n_classes
     if not (train_matrix != ABSTAIN).any():
@@ -260,12 +260,14 @@ def _fit_label_model(config: RunConfig, dataset: Dataset, train_matrix: np.ndarr
         kind = aggregate.LabelModelKind(em_max_iters=config.em_max_iters, em_tol=config.em_tol,
                                         smoothing=config.smoothing,
                                         em_restarts=config.em_restarts)
-        return aggregate.dawid_skene_em(train_matrix, n_classes, kind, ids).problabels
+        # keyword passed only when set, so a cold fit calls the plain signature
+        extra = {} if warm is None else {"warm": warm}
+        return aggregate.dawid_skene_em(train_matrix, n_classes, kind, ids, **extra).problabels
     raise ValueError("unknown label model %r" % config.label_model)
 
 
 def refit(config: RunConfig, dataset: Dataset, train_matrix: np.ndarray, valid_accuracies,
-          X_train: np.ndarray, previous=None, problabels=None):
+          X_train: np.ndarray, previous=None, problabels=None, warm=None):
     """Fit the configured label model to the train vote columns, then the classifier.
 
     valid_accuracies holds one validation accuracy per column (None for an LF
@@ -273,11 +275,13 @@ def refit(config: RunConfig, dataset: Dataset, train_matrix: np.ndarray, valid_a
     single vote every row is uncovered. Every label-model fit is
     deterministic, so a caller whose columns and accuracies are unchanged
     since the fit that gave `problabels` passes them back to skip the fit.
-    The classifier warm-starts from `previous` and is None when no row
-    resolves to a training label. Returns (problabels, model).
+    A caller that only added columns since the fit that gave `warm` passes
+    it to warm-start Dawid-Skene from those posteriors (the vote models
+    ignore it). The classifier warm-starts from `previous` and is None when
+    no row resolves to a training label. Returns (problabels, model).
     """
     if problabels is None:
-        problabels = _fit_label_model(config, dataset, train_matrix, valid_accuracies)
+        problabels = _fit_label_model(config, dataset, train_matrix, valid_accuracies, warm)
     rows, labels = aggregate.resolve_training_labels(problabels, dataset)
     if not len(rows):
         return problabels, None
@@ -406,10 +410,12 @@ def run(config: RunConfig, backend=None, dataset: Optional[Dataset] = None) -> R
                 proposed=len(candidates), admitted=len(new_lfs),
                 verdicts=[v.to_record() for v in verdicts]))
             if not config.lazy_retrain:
-                # the label model's inputs change only when an LF is admitted
+                # the label model's inputs change only when an LF is admitted,
+                # and then only by new columns, so its fit starts from the last
                 problabels, model = refit(config, dataset, gate.train_matrix(),
                                           gate.valid_accuracies, X_train, model,
-                                          problabels=None if new_lfs else problabels)
+                                          problabels=None if new_lfs else problabels,
+                                          warm=problabels)
     except plmclient.BackendError as exc:
         warning = "backend error at iteration %d: %s" % (len(records) + 1, exc)
         complete_run = False

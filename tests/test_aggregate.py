@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from weaklab import aggregate
 from weaklab.aggregate import (
     DawidSkeneResult,
     LabelModelKind,
@@ -245,6 +246,68 @@ class TestDawidSkene:
         r2 = dawid_skene_em(entries, 2)
         assert np.array_equal(r1.problabels.probs, r2.problabels.probs)
         assert r1.objective_history == r2.objective_history
+
+
+def _count_em_runs(monkeypatch):
+    runs = []
+    original = aggregate._em_run
+
+    def counted(*args):
+        runs.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(aggregate, "_em_run", counted)
+    return runs
+
+
+class TestWarmStart:
+    # the first three columns fit, then two more are admitted
+    ENTRIES, _ = planted_matrix(400, [0.8, 0.7, 0.9, 0.75, 0.85], 0.3, seed=13)
+
+    def test_warm_fit_is_one_monotone_em_run(self, monkeypatch):
+        last = dawid_skene_em(self.ENTRIES[:, :3], 2).problabels
+        runs = _count_em_runs(monkeypatch)
+        result = dawid_skene_em(self.ENTRIES, 2, warm=last)
+        assert len(runs) == 1
+        assert (np.diff(result.objective_history) >= 0).all()
+        assert np.allclose(result.problabels.probs.sum(axis=1), 1.0)
+
+    def test_rows_start_from_warm_posteriors_or_majority_vote(self, monkeypatch):
+        last = dawid_skene_em(self.ENTRIES[:, :3], 2).problabels
+        runs = _count_em_runs(monkeypatch)
+        dawid_skene_em(self.ENTRIES, 2, warm=last)
+        mv = majority_vote(self.ENTRIES, 2)
+        (_, init, _), = runs
+        newly = ~last.covered[mv.covered]
+        assert newly.any() and not newly.all()
+        assert np.array_equal(init[newly], mv.probs[mv.covered][newly])
+        assert np.array_equal(init[~newly], last.probs[mv.covered][~newly])
+
+    def test_nothing_covered_before_is_a_cold_fit(self):
+        nothing = ProbLabels(probs=np.full((400, 2), 0.5), covered=np.zeros(400, dtype=bool))
+        warm = dawid_skene_em(self.ENTRIES, 2, warm=nothing)
+        cold = dawid_skene_em(self.ENTRIES, 2)
+        assert np.array_equal(warm.problabels.probs, cold.problabels.probs)
+        assert warm.objective_history == cold.objective_history
+
+    def test_fit_from_its_own_fixed_point_converges_at_once(self):
+        first = dawid_skene_em(self.ENTRIES, 2)
+        again = dawid_skene_em(self.ENTRIES, 2, warm=first.problabels)
+        assert again.converged and again.n_iter <= 2
+        assert np.abs(again.problabels.probs - first.problabels.probs).max() < 1e-3
+
+    @pytest.mark.parametrize("restarts", [0, 3, 5])
+    def test_cold_fit_runs_every_restart(self, monkeypatch, restarts):
+        runs = _count_em_runs(monkeypatch)
+        dawid_skene_em(self.ENTRIES, 2, LabelModelKind(em_restarts=restarts))
+        assert len(runs) == 1 + restarts
+
+    @pytest.mark.parametrize("shape", [(399, 2), (400, 3)])
+    def test_warm_of_the_wrong_shape_rejected(self, shape):
+        warm = ProbLabels(probs=np.full(shape, 1.0 / shape[1]),
+                          covered=np.ones(shape[0], dtype=bool))
+        with pytest.raises(ValueError, match="warm posteriors"):
+            dawid_skene_em(self.ENTRIES, 2, warm=warm)
 
 
 class TestResolveTrainingLabels:

@@ -193,6 +193,139 @@ class TestLogreg:
         assert final_loss < zero_loss
 
 
+def _softmax_reference(logits):
+    """The softmax before the column-wise row max: one `max(axis=1)`."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _loss_and_grad_reference(weights, bias, features, soft_labels, l2):
+    n = features.shape[0]
+    probs = _softmax_reference(features @ weights.T + bias)
+    eps = 1e-300
+    loss = -float((soft_labels * np.log(probs + eps)).sum()) / n
+    loss += 0.5 * l2 * float((weights ** 2).sum())
+    delta = (probs - soft_labels) / n
+    grad_w = delta.T @ features + l2 * weights
+    grad_b = delta.sum(axis=0)
+    return loss, grad_w, grad_b
+
+
+def _train_logreg_reference(features, soft, l2, max_iters, grad_tol, weights, bias):
+    """The gradient-descent loop that evaluates the full loss and gradient at
+    every trial step of its line search."""
+    step = 1.0
+    loss, grad_w, grad_b = _loss_and_grad_reference(weights, bias, features, soft, l2)
+    for _ in range(max_iters):
+        grad_norm = max(np.abs(grad_w).max(initial=0.0), np.abs(grad_b).max(initial=0.0))
+        if grad_norm < grad_tol:
+            break
+        grad_sq = float((grad_w ** 2).sum() + (grad_b ** 2).sum())
+        step = min(step * 2.0, 1e4)
+        while True:
+            new_w = weights - step * grad_w
+            new_b = bias - step * grad_b
+            new_loss, new_gw, new_gb = _loss_and_grad_reference(new_w, new_b, features, soft, l2)
+            if new_loss <= loss - 1e-4 * step * grad_sq or step < 1e-12:
+                break
+            step *= 0.5
+        weights, bias = new_w, new_b
+        loss, grad_w, grad_b = new_loss, new_gw, new_gb
+    return weights, bias
+
+
+class TestLineSearch:
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_classes=st.integers(2, 12),
+           soft_labels=st.booleans(), warm=st.booleans(), max_iters=st.integers(1, 300),
+           scale=st.sampled_from([1.0, 30.0, 1e3]))
+    @settings(max_examples=60, deadline=None)
+    def test_weights_equal_the_full_gradient_loop_bit_for_bit(self, seed, n_classes,
+                                                              soft_labels, warm, max_iters,
+                                                              scale):
+        rng = np.random.default_rng(seed)
+        n, dim = int(rng.integers(1, 40)), int(rng.integers(1, 9))
+        # `scale` stretches the features, so logits reach the magnitude where
+        # exp underflows without the row-max shift
+        features = scale * rng.normal(size=(n, dim))
+        hard = rng.integers(0, n_classes, size=n)
+        soft = np.zeros((n, n_classes))
+        soft[np.arange(n), hard] = 1.0
+        if soft_labels:
+            soft = rng.uniform(0.0, 1.0, size=(n, n_classes))
+            soft /= soft.sum(axis=1, keepdims=True)
+        init = None
+        weights, bias = np.zeros((n_classes, dim)), np.zeros(n_classes)
+        if warm:
+            weights = scale * rng.normal(size=(n_classes, dim))
+            bias = rng.normal(size=n_classes)
+            init = LinearModel(weights=weights, bias=bias, l2=0.0)
+        l2 = float(rng.choice([0.0, 1e-4, 0.1]))
+        model = train_logreg(features, soft if soft_labels else hard, n_classes, l2=l2,
+                             max_iters=max_iters, grad_tol=1e-6, init=init)
+        want_w, want_b = _train_logreg_reference(features, soft, l2, max_iters, 1e-6,
+                                                 weights, bias)
+        assert np.array_equal(model.weights, want_w)
+        assert np.array_equal(model.bias, want_b)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_classes=st.integers(1, 12),
+           magnitude=st.sampled_from([1.0, 1e3, 1e300]))
+    @settings(max_examples=60, deadline=None)
+    def test_softmax_equals_the_row_max_reference(self, seed, n_classes, magnitude):
+        rng = np.random.default_rng(seed)
+        logits = magnitude * rng.normal(size=(int(rng.integers(0, 20)), n_classes))
+        logits[rng.uniform(size=logits.shape) < 0.2] = 0.0  # ties, signed zeros below
+        logits[rng.uniform(size=logits.shape) < 0.1] = -0.0
+        got = downstream._softmax(logits)
+        assert np.array_equal(got, _softmax_reference(logits), equal_nan=True)
+
+    def test_trial_steps_evaluate_no_gradient(self, monkeypatch):
+        calls = {"loss_and_grad": 0, "_gradient": 0}
+        for name in calls:
+            original = getattr(downstream, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(downstream, name, counted)
+        rng = np.random.default_rng(5)
+        features = rng.normal(size=(50, 6))
+        model = train_logreg(features, rng.integers(0, 3, size=50), 3, max_iters=40)
+        # one gradient at the start (inside loss_and_grad), one per accepted step
+        assert calls == {"loss_and_grad": 1, "_gradient": 1 + model.n_iter}
+        assert model.n_iter == 40
+
+
+class TestFitDiagnostics:
+    def test_capped_fit_is_reported(self):
+        rng = np.random.default_rng(3)
+        features = rng.normal(size=(30, 4))
+        labels = rng.integers(0, 2, size=30)
+        model = train_logreg(features, labels, 2, l2=0.0, max_iters=1)
+        assert model.n_iter == 1 and not model.converged
+        soft = downstream._as_soft(labels, 30, 2)
+        _, gw, gb = loss_and_grad(model.weights, model.bias, features, soft, 0.0)
+        assert model.grad_norm == max(np.abs(gw).max(), np.abs(gb).max()) >= 1e-6
+
+    def test_converged_fit_is_reported(self):
+        features = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [0.1, 0.9]])
+        labels = [0, 0, 1, 1]
+        model = train_logreg(features, labels, 2, l2=1e-2, max_iters=1000, grad_tol=1e-6)
+        assert model.converged and 0 < model.n_iter < 1000
+        soft = downstream._as_soft(labels, 4, 2)
+        _, gw, gb = loss_and_grad(model.weights, model.bias, features, soft, 1e-2)
+        assert model.grad_norm == max(np.abs(gw).max(), np.abs(gb).max()) < 1e-6
+
+    def test_fit_from_a_converged_model_takes_no_step(self):
+        features = np.array([[1.0, 0.0], [0.0, 1.0]] * 3)
+        labels = [0, 1] * 3
+        first = train_logreg(features, labels, 2, l2=1e-2)
+        again = train_logreg(features, labels, 2, l2=1e-2, init=first)
+        assert again.converged and again.n_iter == 0
+        assert np.array_equal(again.weights, first.weights)
+
+
 class TestMetrics:
     def test_accuracy(self):
         assert accuracy_score([0, 1, 1, 0], [0, 1, 0, 0]) == pytest.approx(0.75)

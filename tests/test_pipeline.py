@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from weaklab import aggregate, labelfns, pipeline, plmclient, select
-from weaklab.corpus import Dataset, Instance, TEXT_TASK, load_dataset
+from weaklab.corpus import Dataset, EntitySpan, Instance, RELATION_TASK, TEXT_TASK, load_dataset
 from weaklab.labelfns import ABSTAIN, KEYWORD
 from weaklab.pipeline import (
     METRIC_NAMES,
@@ -260,6 +260,21 @@ class TestIterationCost:
                             lambda *args, problabels=None, **kwargs: original(*args, **kwargs))
         assert run(config).to_json() == reused
 
+    def test_each_fit_warm_starts_from_the_last(self, corpus_paths, monkeypatch):
+        calls = []
+        original = aggregate.dawid_skene_em
+
+        def recording(*args, **kwargs):
+            result = original(*args, **kwargs)
+            calls.append((kwargs.get("warm"), result.problabels))
+            return result
+
+        monkeypatch.setattr(aggregate, "dawid_skene_em", recording)
+        run(_config(corpus_paths, **self.DEGRADED))
+        assert len(calls) > 2
+        for (warm, _), (_, last) in zip(calls[1:], calls):
+            assert warm is last
+
     # lfbench times iterations from the entries of the sampler attribute
     @pytest.mark.parametrize("sampler", ["random", "uncertainty", "seu"])
     def test_run_enters_the_sampler_attribute_once_per_iteration(self, corpus_paths,
@@ -370,3 +385,35 @@ class TestReportRendering:
         metrics = {name: None for name in METRIC_NAMES}
         metrics["test_metric"] = "binary_f1"
         assert "Test_F1" in render_report_table(metrics)
+
+
+def test_relation_run_never_interns_ngrams(tmp_path, monkeypatch):
+    """Pattern LFs match by regex, so no KeywordIndex of a relation run
+    tokenizes its split into n-grams."""
+    def split(start, count):
+        rows = []
+        for i in range(count):
+            label = i % 2
+            e1, e2 = "Ann%s" % "abcdefgh"[i % 8], "Bob%s" % "abcdefgh"[(i + 3) % 8]
+            text = "%s %s %s today" % (e1, "works for" if label else "met with", e2)
+            rows.append(Instance(id=start + i, text=text, gold_label=label,
+                                 entity1=EntitySpan(e1, 0, len(e1)),
+                                 entity2=EntitySpan(e2, text.index(e2),
+                                                    text.index(e2) + len(e2))))
+        return rows
+
+    dataset = Dataset(task_kind=RELATION_TASK, classes=["OTHER", "EMPLOYER"],
+                      default_class=None, train=split(0, 30), valid=split(100, 10),
+                      test=split(200, 10))
+    annotations = tmp_path / "annotations.jsonl"
+    annotations.write_text("".join(json.dumps({"id": inst.id}) + "\n"
+                                   for inst in dataset.valid))
+    interned = []
+    monkeypatch.setattr(labelfns, "extract_ngrams",
+                        lambda *args: interned.append(args) or [])
+    config = RunConfig(annotations_path=str(annotations), sampler="random", n_iterations=6,
+                       mock_signatures={"OTHER": ["met with"], "EMPLOYER": ["works for"]},
+                       max_opt_iters=50)
+    report = run(config, dataset=dataset)
+    assert report.complete and report.final_lfs
+    assert interned == []
