@@ -11,10 +11,13 @@ regex LF path, run the three label models with the random and SEU samplers
 and chain-of-thought prompting on the benchmark's relation corpus of seed 0
 (`lfbench.corpora.relation_corpus`, 80/40/40, 200 entity names). SEU runs
 with `seu_pool_cap` 25, below the 80-row pool, score a seeded sample of the
-pool with each label model. Last come `weaklab eval-lfs` reports over a
-low-signal corpus, for its signature LFs plus six noise-keyword LFs. Text
-corpora come from `generate_synthetic` at the size the test suite uses
-(80/40/40).
+pool with each label model. Last come `weaklab eval-lfs` reports, one per
+label model: over a low-signal corpus, for its signature LFs plus six
+noise-keyword LFs; then over the relation corpus, for six hand-written
+pattern LFs: the mock's shape and five it never writes (a multi-word gram,
+a placeholder inside an atomic group, a top-level branch, no literal, a
+verbose template). Text corpora come from
+`generate_synthetic` at the size the test suite uses (80/40/40).
 
 Run from the root of a checkout; `src` may come from another checkout:
     PYTHONPATH=src python3 scripts/report_digests.py > digests.txt
@@ -31,8 +34,8 @@ import sys
 import tempfile
 
 from weaklab import cli, labelfns
-from weaklab.corpus import TEXT_TASK
-from weaklab.labelfns import KEYWORD
+from weaklab.corpus import RELATION_TASK, TEXT_TASK
+from weaklab.labelfns import KEYWORD, PATTERN
 from weaklab.pipeline import RunConfig, generate_synthetic, run, write_synthetic
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -59,7 +62,7 @@ def write_relation_corpus(root, name):
     out = os.path.join(root, name)
     corpus = corpora.relation_corpus(0, n_train=80, n_valid=40, n_test=40, n_names=200)
     paths = corpora.write_corpus(corpus, out)
-    return out, None, corpus.signatures, {**paths, "mock_signatures": corpus.signatures}
+    return out, corpus, corpus.signatures, {**paths, "mock_signatures": corpus.signatures}
 
 
 def digest(text, mask):
@@ -108,18 +111,41 @@ def main():
         payloads += [("noise%d" % k, k % 2) for k in range(6)]
         lfs = [labelfns.compile_lf(KEYWORD, payload, cls, dataset.classes, TEXT_TASK)
                for payload, cls in payloads]
-        lf_path = os.path.join(root, "lfs.jsonl")
-        labelfns.save_lfs(lfs, lf_path)
-        for lm in LABEL_MODELS:
-            config_path = os.path.join(root, "eval-%s.json" % lm)
-            report_path = os.path.join(root, "eval-%s-report.json" % lm)
-            with open(config_path, "w", encoding="utf-8") as fh:
-                json.dump({**base, **common, "label_model": lm}, fh)
-            with contextlib.redirect_stdout(io.StringIO()):
-                cli.main(["eval-lfs", "--config", config_path, "--lfs", lf_path,
-                          "--report", report_path])
-            with open(report_path, "r", encoding="utf-8") as fh:
-                print("eval-lfs label_model=%s %s" % (lm, digest(fh.read(), out)))
+        for lm, line in eval_lfs(root, "sparse", corpora["sparse"], lfs, common):
+            print("eval-lfs label_model=%s %s" % (lm, line))
+
+        out, corpus, signatures, base = corpora["relation"]
+        # one phrase of each class, split into its three words
+        (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = (signatures[name][0].split()
+                                                    for name in corpus.classes)
+        templates = [(r"{{E1}}.{0,40}%s.{0,40}{{E2}}" % a1, 0),
+                     (r"{{E1}}.{0,40}%s\W+%s\W+%s.{0,40}{{E2}}" % (b1, b2, b3), 1),
+                     (r"(?>{{E1}}\W+).{0,40}%s.{0,40}{{E2}}" % c1, 2),
+                     (r"{{E1}}.{0,40}%s|%s.{0,40}{{E2}}" % (a2, a3), 0),
+                     (r"{{E1}}.{0,40}{{E2}}", 1),
+                     (r"(?x) {{E1}} .{0,40} %s \W+ %s .{0,40} {{E2}}" % (c2, c3), 2)]
+        lfs = [labelfns.compile_lf(PATTERN, payload, cls, corpus.classes, RELATION_TASK)
+               for payload, cls in templates]
+        for lm, line in eval_lfs(root, "relation", corpora["relation"], lfs, common):
+            print("eval-lfs relation label_model=%s %s" % (lm, line))
+
+
+def eval_lfs(root, name, corpus, lfs, common):
+    """(label model, report digest) of `weaklab eval-lfs` on the corpus for
+    each label model."""
+    out, _, _, base = corpus
+    lf_path = os.path.join(root, "%s-lfs.jsonl" % name)
+    labelfns.save_lfs(lfs, lf_path)
+    for lm in LABEL_MODELS:
+        config_path = os.path.join(root, "eval-%s-%s.json" % (name, lm))
+        report_path = os.path.join(root, "eval-%s-%s-report.json" % (name, lm))
+        with open(config_path, "w", encoding="utf-8") as fh:
+            json.dump({**base, **common, "label_model": lm}, fh)
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(["eval-lfs", "--config", config_path, "--lfs", lf_path,
+                      "--report", report_path])
+        with open(report_path, "r", encoding="utf-8") as fh:
+            yield lm, digest(fh.read(), out)
 
 
 if __name__ == "__main__":

@@ -41,11 +41,9 @@ _E2 = "{{E2}}"
 _PLACEHOLDER = re.compile(r"\{\{E[12]\}\}")
 # An entity right after `{`, `,` or a digit could become or extend a repeat
 # count or an octal escape; one next to a `{{E` that is no placeholder could
-# complete an `{{E2}}`, which the second substitution then replaces.
+# complete an `{{E2}}`, which the second substitution then replaces. The
+# template parse cannot see either: `{{{E1}}}` parses with its group intact.
 _UNSAFE_PLACEMENT = re.compile(r"[{,0-9]\{\{E[12]\}\}|\{\{E(?![12]\}\})")
-# A placeholder after an odd run of backslashes is escaped text in the
-# template, but its entity's first character joins that escape.
-_ESCAPED_PLACEHOLDER = re.compile(r"(?<!\\)(?:\\\\)*\\\{\{E[12]\}\}")
 
 _REPEAT_OPS = {sre_constants.MAX_REPEAT, sre_constants.MIN_REPEAT,
                getattr(sre_constants, "POSSESSIVE_REPEAT", None)}  # the last from 3.11
@@ -80,29 +78,52 @@ class LabelFunction:
         return "%s(%r -> %d)" % (self.kind, self.payload, self.target_class)
 
 
-def _walk_parsed(parsed):
+def _walk_parsed(parsed, marks):
     for op, av in parsed:
         if op in _FORBIDDEN_OPS:
             raise LFError("regex uses forbidden construct %s (backreference/lookaround)" % op)
         if op is sre_constants.SUBPATTERN:
-            _walk_parsed(av[3])
+            _walk_parsed(av[3], marks)
         elif op is sre_constants.BRANCH:
             for branch in av[1]:
-                _walk_parsed(branch)
+                _walk_parsed(branch, marks)
         elif op in _REPEAT_OPS:
-            _walk_parsed(av[2])
+            body = av[2]
+            if len(body) == 1 and body[0][0] is sre_constants.SUBPATTERN and body[0][1][0] in marks:
+                raise LFError("a repeat quantifies an entity placeholder")
+            _walk_parsed(body, marks)
         elif op is getattr(sre_constants, "ATOMIC_GROUP", None):
-            _walk_parsed(av)
+            _walk_parsed(av, marks)
 
 
-def _check_pattern_safe(source: str):
-    if len(source) > MAX_PATTERN_SOURCE:
+def _parse_template(payload: str):
+    """Parse a pattern template with each placeholder as an empty named group.
+
+    Raises LFError unless every placeholder leaves its group in the parse
+    (not inside a class, after a backslash or in a comment), no repeat
+    quantifies one directly, no construct is forbidden and `_UNSAFE_PLACEMENT`
+    finds nothing. Substitution then only puts escaped literals where the
+    groups stand, whatever the entities.
+    """
+    if len(payload) > MAX_PATTERN_SOURCE:
         raise LFError("regex source exceeds %d characters" % MAX_PATTERN_SOURCE)
+    if _UNSAFE_PLACEMENT.search(payload):
+        raise LFError("entity placeholder where substitution would change the regex")
+    prefix = "lfmark"
+    while prefix in payload:  # so no group the template names itself can pass for a mark
+        prefix += "_"
+    names = ["%s%d" % (prefix, k) for k in range(len(_PLACEHOLDER.findall(payload)))]
+    marked = iter(names)
     try:
-        parsed = sre_parser.parse(source, re.IGNORECASE)
+        parsed = sre_parser.parse(
+            _PLACEHOLDER.sub(lambda m: "(?P<%s>)" % next(marked), payload), re.IGNORECASE)
     except re.error as exc:
-        raise LFError("regex fails to compile: %s" % exc)
-    _walk_parsed(parsed)
+        raise LFError("regex fails to compile with each placeholder as a group: %s" % exc)
+    marks = {parsed.state.groupdict.get(name) for name in names}
+    if None in marks:
+        raise LFError("entity placeholder inside a class, an escape or a comment")
+    _walk_parsed(parsed, marks)
+    return parsed
 
 
 def _substitute_entities(source: str, e1: str, e2: str) -> str:
@@ -113,28 +134,13 @@ def _required_literal(payload: str):
     """A compiled search for text that every match of the pattern contains,
     whatever the entities, or None when the template proves no such text.
 
-    The text is the longest run of top-level LITERAL ops, parsed once with
-    each placeholder standing as an empty named group. An entity is inserted
-    as escaped atoms, so it breaks a run but cannot change one, provided the
-    parser takes the placeholder for a whole top-level atom. A placeholder
-    it reads otherwise (inside a class or a group, after a backslash,
-    quantified, in a comment) leaves no top-level marker, and the template
-    proves nothing; so does a placement in `_UNSAFE_PLACEMENT`. The search
-    uses the template's global flags, so it folds case as the pattern does.
+    The text is the longest run of top-level LITERAL ops in the template's
+    parse (`_parse_template`). Each entity goes in as escaped atoms where its
+    placeholder's group stands, so it breaks a run but cannot change one.
+    The search uses the template's global flags, so it folds case as the
+    pattern does.
     """
-    if _UNSAFE_PLACEMENT.search(payload):
-        return None
-    n_marks = len(_PLACEHOLDER.findall(payload))
-    names = ("lfmark%d" % k for k in itertools.count())
-    try:
-        parsed = sre_parser.parse(
-            _PLACEHOLDER.sub(lambda m: "(?P<%s>)" % next(names), payload), re.IGNORECASE)
-    except re.error:
-        return None
-    marks = {parsed.state.groupdict.get("lfmark%d" % k) for k in range(n_marks)}
-    top = {av[0] for op, av in parsed if op is sre_constants.SUBPATTERN}
-    if None in marks or not marks <= top:
-        return None
+    parsed = _parse_template(payload)
     runs = ["".join(chr(av) for _, av in run) for literal, run in
             itertools.groupby(parsed, key=lambda item: item[0] is sre_constants.LITERAL) if literal]
     best = max(runs, key=len, default="")
@@ -160,13 +166,8 @@ def compile_lf(kind, payload, target_class, classes, task_kind, provenance=None)
             raise LFError("pattern LFs apply only to relation classification tasks")
         if not isinstance(payload, str) or not payload:
             raise LFError("empty pattern payload")
-        if _UNSAFE_PLACEMENT.search(payload) or _ESCAPED_PLACEHOLDER.search(payload):
-            raise LFError("entity placeholder where substitution would change the regex")
-        _check_pattern_safe(payload)
-        probe = _substitute_entities(payload, "x", "x")
-        _check_pattern_safe(probe)
-        compiled = re.compile(probe, re.IGNORECASE)
-        if compiled.search("") is not None:
+        _parse_template(payload)
+        if re.compile(_substitute_entities(payload, "x", "x"), re.IGNORECASE).search("") is not None:
             raise LFError("pattern matches the empty string")
         return LabelFunction(kind=PATTERN, payload=payload, target_class=target_class,
                              provenance=provenance)

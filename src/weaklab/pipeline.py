@@ -324,6 +324,13 @@ def run(config: RunConfig, backend=None, dataset: Optional[Dataset] = None) -> R
     positive_class = (dataset.classes.index(config.positive_class)
                       if config.positive_class is not None else None)
 
+    def ask(messages, temperature, n):
+        request = plmclient.CompletionRequest(messages=messages, temperature=temperature, n=n,
+                                              model_name=config.model_name,
+                                              max_tokens=config.max_tokens)
+        return [prompting.parse_response(text, dataset.task_kind, dataset.classes)
+                for text in plmclient.complete(backend, request)]
+
     # in-context examples
     kate = None
     fixed_examples = None
@@ -333,13 +340,8 @@ def run(config: RunConfig, backend=None, dataset: Optional[Dataset] = None) -> R
         embeddings = corpus.load_embeddings(config.embeddings_path, dataset, ("train", "valid"))
 
         def annotate(instance, cot):
-            messages = prompting.build_annotation_prompt(dataset, instance, cot,
-                                                         config.task_description)
-            request = plmclient.CompletionRequest(messages=messages, temperature=0.0, n=1,
-                                                  model_name=config.model_name,
-                                                  max_tokens=config.max_tokens)
-            parsed = prompting.parse_response(plmclient.complete(backend, request)[0],
-                                              dataset.task_kind, dataset.classes)
+            parsed = ask(prompting.build_annotation_prompt(dataset, instance, cot,
+                                                           config.task_description), 0.0, 1)[0]
             return parsed.keywords, parsed.patterns, parsed.rationale
 
         kate = prompting.KateSelector(dataset.valid, embeddings, annotate)
@@ -368,7 +370,6 @@ def run(config: RunConfig, backend=None, dataset: Optional[Dataset] = None) -> R
     warning = None
     complete_run = True
     lf_kind = KEYWORD if dataset.task_kind == TEXT_TASK else PATTERN
-    candidate_kind = lf_kind
 
     try:
         for t in range(1, config.n_iterations + 1):
@@ -380,30 +381,23 @@ def run(config: RunConfig, backend=None, dataset: Optional[Dataset] = None) -> R
             query = train_by_id[query_id]
             examples = (kate.select(query, spec.k_total, spec.cot)
                         if kate is not None else fixed_examples)
-            messages = prompting.build_task_prompt(dataset, query, examples, spec.cot,
-                                                   config.task_description)
-            request = plmclient.CompletionRequest(messages=messages,
-                                                  temperature=spec.temperature,
-                                                  n=spec.n_responses,
-                                                  model_name=config.model_name,
-                                                  max_tokens=config.max_tokens)
-            texts = plmclient.complete(backend, request)
-            parsed = [prompting.parse_response(text, dataset.task_kind, dataset.classes)
-                      for text in texts]
+            parsed = ask(prompting.build_task_prompt(dataset, query, examples, spec.cot,
+                                                     config.task_description),
+                         spec.temperature, spec.n_responses)
             if len(parsed) > 1:
                 label, keywords, patterns = prompting.aggregate_sc(parsed, dataset.n_classes)
             else:
                 label = parsed[0].label
                 keywords, patterns = parsed[0].keywords, parsed[0].patterns
-            payloads = keywords if candidate_kind == KEYWORD else patterns
+            payloads = keywords if lf_kind == KEYWORD else patterns
             candidates = []
             if label is not None:
                 for payload in payloads:
                     candidates.append(lfgate.CandidateSpec(
-                        kind=candidate_kind, payload=payload, target_class=label,
+                        kind=lf_kind, payload=payload, target_class=label,
                         provenance=Provenance(iteration=t, query_id=query_id,
                                               response_index=_first_response_with(parsed, payload,
-                                                                                  candidate_kind))))
+                                                                                  lf_kind))))
             new_lfs, verdicts = gate.admit(candidates)
             records.append(IterationRecord(
                 t=t, query_id=query_id, label=label, gold_label=query.gold_label,

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .corpus import RELATION_TASK, extract_ngrams, tokenize
+from .prompting import ChatMessage, render_response
 
 
 class BackendError(RuntimeError):
@@ -24,12 +25,6 @@ class BackendError(RuntimeError):
 
 class ReplayMissError(BackendError):
     """A replayed request was never recorded."""
-
-
-@dataclass(frozen=True)
-class ChatMessage:
-    role: str  # system | user | assistant
-    content: str
 
 
 @dataclass
@@ -198,22 +193,22 @@ def mock_oracle_respond(config: MockOracleConfig, instance, task_kind: str, cot:
             continue
         if pick not in payloads:
             payloads.append(pick)
+    return _mock_response(config.classes[label], task_kind, payloads, cot)
+
+
+def _mock_response(label_name: str, task_kind: str, payloads, cot: bool) -> str:
+    """A response naming the label and proposing the payloads as LFs of the
+    task's kind, a phrase becoming a pattern that spans it between the two
+    entities; its rationale quotes the first payload."""
     if task_kind == RELATION_TASK:
         payloads = [r"{{E1}}.{0,40}%s.{0,40}{{E2}}" % p.replace(" ", r"\W+") for p in payloads]
-    lines = []
+    rationale = None
     if cot:
-        lines.append("REASONING: the passage mentions %s, which indicates the %s class."
-                     % (payloads[0] if payloads else "nothing specific", config.classes[label]))
-    lines.append("LABEL: %s" % config.classes[label])
-    if task_kind == RELATION_TASK:
-        if payloads:
-            lines.append("PATTERNS:")
-            lines.extend("- %s" % p for p in payloads)
-        else:
-            lines.append("PATTERNS: NONE")
-    else:
-        lines.append("KEYWORDS: %s" % ("; ".join(payloads) if payloads else "NONE"))
-    return "\n".join(lines)
+        rationale = ("the passage mentions %s, which indicates the %s class."
+                     % (payloads[0] if payloads else "nothing specific", label_name))
+    # render_response reads the keywords or the patterns, as the task kind says
+    return render_response(label_name, task_kind, keywords=payloads, patterns=payloads,
+                           rationale=rationale)
 
 
 class MockBackend:
@@ -254,27 +249,17 @@ class MockBackend:
         instance, given_label = self._lookup(request)
         cot = "REASONING" in request.messages[0].content
         if given_label is not None:
-            return [self._annotate(instance, given_label, cot)] * request.n
+            return [self._annotate(instance, given_label)] * request.n
         return [mock_oracle_respond(self.config, instance, self.task_kind, cot, draw_index=i)
                 for i in range(request.n)]
 
-    def _annotate(self, instance, label_name, cot) -> str:
+    def _annotate(self, instance, label_name) -> str:
         cls = self.config.classes.index(label_name)
         grams = set(extract_ngrams(tokenize(instance.text), 1, 3))
         payloads = [s for s in self.config.signatures.get(cls, []) if s in grams]
         if not payloads:
             payloads = list(self.config.signatures.get(cls, []))[:1]
-        if self.task_kind == RELATION_TASK:
-            payloads = [r"{{E1}}.{0,40}%s.{0,40}{{E2}}" % p.replace(" ", r"\W+") for p in payloads]
-        lines = ["REASONING: the passage mentions %s, which indicates the %s class."
-                 % (payloads[0] if payloads else "nothing specific", label_name)]
-        lines.append("LABEL: %s" % label_name)
-        if self.task_kind == RELATION_TASK:
-            lines.append("PATTERNS:")
-            lines.extend("- %s" % p for p in payloads)
-        else:
-            lines.append("KEYWORDS: %s" % ("; ".join(payloads) if payloads else "NONE"))
-        return "\n".join(lines)
+        return _mock_response(label_name, self.task_kind, payloads, cot=True)
 
 
 class ReplayBackend:

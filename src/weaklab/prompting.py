@@ -21,7 +21,12 @@ from typing import Optional
 import numpy as np
 
 from .corpus import RELATION_TASK, TEXT_TASK, Dataset, EmbeddingTable, Instance
-from .plmclient import ChatMessage
+
+
+@dataclass(frozen=True)
+class ChatMessage:
+    role: str  # system | user | assistant
+    content: str
 
 
 @dataclass

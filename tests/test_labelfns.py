@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from weaklab import labelfns
 from weaklab.corpus import (
@@ -96,10 +96,14 @@ class TestCompile:
 
     # an entity after an odd run of backslashes joins the escape (with E1 "1"
     # the first is the backreference `(q)\1ab`); one after `{` or `,` can
-    # complete a repeat count (`{3}` with E1 "3")
+    # complete a repeat count (`{3}` with E1 "3"); one in a class can end a
+    # range (`[a-0]`); a quantified one repeats only its last character, or
+    # nothing when empty; a group the template names like a mark is no mark
     @pytest.mark.parametrize("template", [r"(q)\{{E1}}ab {{E2}}", r"a\\\{{E1}}ab {{E2}}",
                                           r"{{{E1}}}.zz {{E2}}", r"{{E1}}.{0,40}x{{{E2}}}",
-                                          r"{{E1}} a{2,{{E2}}}"])
+                                          r"{{E1}} a{2,{{E2}}}", r"{{E1}} [a-{{E2}}]",
+                                          r"[{{E1}}]+ song", r"{{E1}}.{0,40}song{{E2}}?",
+                                          r"(?P<lfmark0>x)[a-{{E1}}]"])
     def test_placeholder_substitution_could_reread_rejected(self, template):
         with pytest.raises(LFError, match="placeholder"):
             pat(template)
@@ -170,21 +174,27 @@ class TestApply:
 
 
 # Pattern templates for KeywordIndex's literal prefilter: the mock's form, a
-# multi-word gram, no literal, a top-level branch, a placeholder in a class,
-# an atomic group, a possessive repeat, verbose and ASCII flags and a
-# quantified placeholder, which an empty entity hands to the literal before it.
+# multi-word gram, no literal, a top-level branch, a placeholder in an atomic
+# group, a possessive repeat, and verbose and ASCII flags.
 INDEX_TEMPLATES = [
     r"{{E1}}.{0,40}song.{0,40}{{E2}}",
     r"{{E1}}.{0,40}kind\W+song.{0,40}{{E2}}",
     r"{{E1}}.{0,40}{{E2}}",
     r"{{E1}} song|kind {{E2}}",
-    r"[{{E1}}]+ song",
     r"(?>{{E1}}\W+)song.{0,40}{{E2}}",
     r"{{E1}} \w*+ song",
     r"(?x) {{E1}} \s+ kind \s+ song .{0,40} {{E2}}",
     r"(?a){{E1}}.{0,40}song.{0,40}{{E2}}",
-    r"{{E1}}.{0,40}song{{E2}}?",
 ]
+
+# Template pieces for random templates: placeholders, literals, repeats,
+# classes, group openers, escapes and verbose-mode syntax; entities mix
+# characters that are regex syntax in a class or after a backslash.
+TEMPLATE_TOKENS = [r"{{E1}}", r"{{E2}}", "a", "song", " ", ".", "*", "+", "?", "{2}", "{0,3}",
+                   "{", "}", ",", "0", "|", "(", "(?:", "(?>", ")", "[", "]", "[a-", "-", "^",
+                   "\\", r"\W+", r"\s", "(?x)", "#"]
+ENTITIES = st.text(alphabet=["0", "-", "]", "\\", "{", " ", "é", "ſ", "K"], max_size=3)
+
 INDEX_ENTITIES = [("Bob", "Ann"), ("a.b", "x{y"), ("ſam", "Kurt"), ("Bob", "3"), ("Bob", "")]
 INDEX_MIDDLES = ["song", "ſong", "SONG", "kind song", "Kind  ſONG", "kind, song",
                  "sang a song to", "no match here", "xxx", "x{3}", "sing", "sonnet"]
@@ -269,6 +279,36 @@ class TestKeywordIndex:
         assert (again == np.where(first == 1, 0, ABSTAIN)).all()
         KeywordIndex(rows).votes(pat(r"{{E1}}.{0,40}song.{0,40}{{E2}}", 1))
         assert len(calls) == 2 * n_first
+
+    def test_placeholder_in_a_group_keeps_the_prefilter(self, monkeypatch):
+        calls = []
+
+        def counting(lf, inst):
+            calls.append(inst.id)
+            return apply_lf(lf, inst)
+
+        monkeypatch.setattr(labelfns, "apply_lf", counting)
+        rows = index_rows()
+        KeywordIndex(rows).votes(pat(r"(?>{{E1}}\W+)song.{0,40}{{E2}}"))
+        assert 0 < len(calls) < len(rows)
+
+    # whatever the entities, an accepted template compiles once substituted,
+    # and the prefilter drops no row that the pattern matches
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(TEMPLATE_TOKENS), min_size=1, max_size=10),
+           st.lists(st.tuples(ENTITIES, ENTITIES), min_size=1, max_size=3))
+    @example([r"{{E1}}", " ", "[a-", r"{{E2}}", "]"], [("Bob", "0")])
+    def test_accepted_templates_apply_to_any_entities(self, tokens, entities):
+        try:
+            lf = pat("".join(tokens))
+        except LFError:
+            return
+        rows = [rel_instance(text % (e1, e2), e1, e2, iid=2 * k + j)
+                for k, (e1, e2) in enumerate(entities)
+                for j, text in enumerate(("%s song %s", "a-0 %s, a song {2} %s"))]
+        votes = [apply_lf(lf, row) for row in rows]
+        assert set(votes) <= {lf.target_class, ABSTAIN}
+        assert KeywordIndex(rows).votes(lf).tolist() == votes
 
     def test_votes_require_entities_where_the_literal_is_absent(self):
         rows = [rel_instance("Bob song Ann", "Bob", "Ann"), Instance(id=1, text="no entities here")]

@@ -236,6 +236,9 @@ def _relation_dataset():
     r"{{E1}}(?:(?=b)x)*+ {{E2}}",  # lookahead inside a possessive repeat
     r"(q)\{{E1}}ab {{E2}}",  # E1 "1" makes the backreference (q)\1ab
     r"{{{E1}}}.zz {{E2}}",  # E1 "3" makes the repeat {3} with nothing to repeat
+    r"{{E1}} [a-{{E2}}]",  # E2 "3" makes the bad range [a-3]
+    r"[{{E1}}]+ song",  # the entity's characters join a class
+    r"{{E1}}.{0,40}song{{E2}}?",  # the repeat takes only the entity's last character
 ])
 def test_unsafe_pattern_templates_get_a_validity_verdict(template):
     gate = AdmissionGate(_relation_dataset(), FilterConfig(enable_accuracy=False))

@@ -387,9 +387,7 @@ class TestReportRendering:
         assert "Test_F1" in render_report_table(metrics)
 
 
-def test_relation_run_never_interns_ngrams(tmp_path, monkeypatch):
-    """Pattern LFs match by regex, so no KeywordIndex of a relation run
-    tokenizes its split into n-grams."""
+def _relation_dataset():
     def split(start, count):
         rows = []
         for i in range(count):
@@ -402,18 +400,42 @@ def test_relation_run_never_interns_ngrams(tmp_path, monkeypatch):
                                                     text.index(e2) + len(e2))))
         return rows
 
-    dataset = Dataset(task_kind=RELATION_TASK, classes=["OTHER", "EMPLOYER"],
-                      default_class=None, train=split(0, 30), valid=split(100, 10),
-                      test=split(200, 10))
+    return Dataset(task_kind=RELATION_TASK, classes=["OTHER", "EMPLOYER"],
+                   default_class=None, train=split(0, 30), valid=split(100, 10),
+                   test=split(200, 10))
+
+
+def _relation_config(tmp_path, dataset):
     annotations = tmp_path / "annotations.jsonl"
     annotations.write_text("".join(json.dumps({"id": inst.id}) + "\n"
                                    for inst in dataset.valid))
+    return RunConfig(annotations_path=str(annotations), sampler="random", n_iterations=6,
+                     mock_signatures={"OTHER": ["met with"], "EMPLOYER": ["works for"]},
+                     max_opt_iters=50)
+
+
+def test_relation_run_never_interns_ngrams(tmp_path, monkeypatch):
+    """Pattern LFs match by regex, so no KeywordIndex of a relation run
+    tokenizes its split into n-grams."""
+    dataset = _relation_dataset()
     interned = []
     monkeypatch.setattr(labelfns, "extract_ngrams",
                         lambda *args: interned.append(args) or [])
-    config = RunConfig(annotations_path=str(annotations), sampler="random", n_iterations=6,
-                       mock_signatures={"OTHER": ["met with"], "EMPLOYER": ["works for"]},
-                       max_opt_iters=50)
-    report = run(config, dataset=dataset)
+    report = run(_relation_config(tmp_path, dataset), dataset=dataset)
     assert report.complete and report.final_lfs
     assert interned == []
+
+
+def test_relation_run_survives_a_placeholder_in_a_class(tmp_path):
+    """`[a-{{E2}}]` reads the bad range `[a-B]` with entity2 `Bob…`; the
+    template gets a validity verdict and the run goes on."""
+    class RangeBackend:
+        name = "range"
+
+        def complete(self, request):
+            return ["LABEL: EMPLOYER\nPATTERNS:\n- {{E1}} [a-{{E2}}]"] * request.n
+
+    dataset = _relation_dataset()
+    report = run(_relation_config(tmp_path, dataset), backend=RangeBackend(), dataset=dataset)
+    assert report.complete and len(report.iterations) == 6
+    assert {v["stage"] for it in report.iterations for v in it["verdicts"]} == {"validity"}
