@@ -11,7 +11,9 @@ regex LF path, run the three label models with the random and SEU samplers
 and chain-of-thought prompting on the benchmark's relation corpus of seed 0
 (`lfbench.corpora.relation_corpus`, 80/40/40, 200 entity names). SEU runs
 with `seu_pool_cap` 25, below the 80-row pool, score a seeded sample of the
-pool with each label model. Last come `weaklab eval-lfs` reports, one per
+pool with each label model. A copy of the binary corpus whose train file
+lists its rows in shuffled id order runs each sampler, SEU both uncapped
+and at `seu_pool_cap` 25. Last come `weaklab eval-lfs` reports, one per
 label model: over a low-signal corpus, for its signature LFs plus six
 noise-keyword LFs; then over the relation corpus, for six hand-written
 pattern LFs: the mock's shape and five it never writes (a multi-word gram,
@@ -30,6 +32,7 @@ import io
 import itertools
 import json
 import os
+import random
 import sys
 import tempfile
 
@@ -45,9 +48,11 @@ SAMPLERS = ("random", "uncertainty", "seu")
 PROMPTS = ("few_shot", "self_consistency")
 
 
-def write_corpus(root, name, **kwargs):
+def write_corpus(root, name, shuffle_train=False, **kwargs):
     out = os.path.join(root, name)
     dataset, signatures, annotations = generate_synthetic(80, 40, 40, seed=0, **kwargs)
+    if shuffle_train:  # the train file then lists its ids out of order
+        random.Random(0).shuffle(dataset.train)
     paths = write_synthetic(out, dataset, signatures, annotations)
     base = dict(train_path=paths["train_path"], valid_path=paths["valid_path"],
                 test_path=paths["test_path"], schema_path=paths["schema_path"],
@@ -80,6 +85,7 @@ def main():
                    "default0": write_corpus(root, "default0", default_class=0),
                    "three": write_corpus(root, "three", n_classes=3),
                    "sparse": write_corpus(root, "sparse", q=0.3, noise_vocab=30),
+                   "shuffled": write_corpus(root, "shuffled", shuffle_train=True),
                    "relation": write_relation_corpus(root, "relation")}
 
         points = [("binary", dict(label_model=lm, sampler=s, prompt_method=p, soft_labels=soft))
@@ -98,6 +104,9 @@ def main():
         # a cap below the 80-row pool: SEU scores an rng.sample of the pool
         points += [("binary", dict(label_model=lm, sampler="seu", seu_pool_cap=25))
                    for lm in LABEL_MODELS]
+        # train ids that do not ascend: ties and random draws still go by id
+        points += [("shuffled", dict(sampler=s)) for s in SAMPLERS]
+        points += [("shuffled", dict(sampler="seu", seu_pool_cap=25))]
 
         for corpus_name, overrides in points:
             out, _, _, base = corpora[corpus_name]

@@ -27,7 +27,6 @@ from .labelfns import ABSTAIN
 class ProbLabels:
     probs: np.ndarray  # (n, C), each covered row sums to 1
     covered: np.ndarray  # (n,) bool
-    instance_ids: Optional[list] = None
 
     @property
     def n(self):
@@ -66,17 +65,17 @@ def _vote_counts(entries: np.ndarray, n_classes: int) -> np.ndarray:
     return counts
 
 
-def majority_vote(entries: np.ndarray, n_classes: int, instance_ids=None) -> ProbLabels:
+def majority_vote(entries: np.ndarray, n_classes: int) -> ProbLabels:
     """Vote-fraction distribution over non-abstain votes per instance."""
     counts = _vote_counts(entries, n_classes)
     totals = counts.sum(axis=1)
     covered = totals > 0
     probs = np.full((entries.shape[0], n_classes), 1.0 / n_classes)
     probs[covered] = counts[covered] / totals[covered, None]
-    return ProbLabels(probs=probs, covered=covered, instance_ids=instance_ids)
+    return ProbLabels(probs=probs, covered=covered)
 
 
-def weighted_vote(entries: np.ndarray, n_classes: int, lf_accuracies, instance_ids=None) -> ProbLabels:
+def weighted_vote(entries: np.ndarray, n_classes: int, lf_accuracies) -> ProbLabels:
     """Accuracy-weighted voting.
 
     Each LF votes with log-odds weight ln(a*(C-1)/(1-a)) after clipping its
@@ -109,7 +108,7 @@ def weighted_vote(entries: np.ndarray, n_classes: int, lf_accuracies, instance_i
         block = np.zeros(mask.shape)
         block[mask] = (z / z.sum(axis=1, keepdims=True)).ravel()
         probs[rows] = block
-    return ProbLabels(probs=probs, covered=covered, instance_ids=instance_ids)
+    return ProbLabels(probs=probs, covered=covered)
 
 
 def _vote_design(entries, n_classes):
@@ -250,7 +249,7 @@ class DawidSkeneResult:
 
 
 def dawid_skene_em(entries: np.ndarray, n_classes: int, kind: Optional[LabelModelKind] = None,
-                   instance_ids=None, *, warm: Optional[ProbLabels] = None) -> DawidSkeneResult:
+                   *, warm: Optional[ProbLabels] = None) -> DawidSkeneResult:
     """Abstain-aware Dawid-Skene EM.
 
     A cold fit is initialized from majority-vote posteriors; em_restarts
@@ -276,7 +275,7 @@ def dawid_skene_em(entries: np.ndarray, n_classes: int, kind: Optional[LabelMode
         kind = LabelModelKind()
     if entries.shape[1] < 1:
         raise ValueError("need at least one LF column")
-    mv = majority_vote(entries, n_classes, instance_ids)
+    mv = majority_vote(entries, n_classes)
     covered = mv.covered
     if not covered.any():
         raise ValueError("no covered instance: every LF abstained everywhere")
@@ -304,7 +303,7 @@ def dawid_skene_em(entries: np.ndarray, n_classes: int, kind: Optional[LabelMode
     sub_posteriors, prior, confusions, propensities, history, converged = best
     posteriors = np.full((entries.shape[0], n_classes), 1.0 / n_classes)
     posteriors[covered] = sub_posteriors
-    problabels = ProbLabels(probs=posteriors, covered=covered, instance_ids=instance_ids)
+    problabels = ProbLabels(probs=posteriors, covered=covered)
     return DawidSkeneResult(problabels=problabels, confusions=confusions,
                             prior=prior, propensities=propensities,
                             objective_history=history, n_iter=len(history),

@@ -70,8 +70,8 @@ def cmd_eval_lfs(args):
     dataset = corpus.load_dataset(config.train_path, config.valid_path,
                                   config.test_path, config.schema_path)
     lfs = labelfns.load_lfs(args.lfs, dataset.classes, dataset.task_kind)
-    train_matrix = labelfns.build_matrix(lfs, dataset.train).entries
-    valid_matrix = labelfns.build_matrix(lfs, dataset.valid).entries
+    train_matrix = labelfns.build_matrix(lfs, dataset.train)
+    valid_matrix = labelfns.build_matrix(lfs, dataset.valid)
     valid_accuracies = [labelfns.lf_stats(lf, dataset.valid, votes=valid_matrix[:, j]).accuracy
                         for j, lf in enumerate(lfs)]
     space = downstream.fit_tfidf([i.text for i in dataset.train],

@@ -12,6 +12,7 @@ import functools
 import itertools
 import json
 import re
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -101,9 +102,10 @@ def _parse_template(payload: str):
 
     Raises LFError unless every placeholder leaves its group in the parse
     (not inside a class, after a backslash or in a comment), no repeat
-    quantifies one directly, no construct is forbidden and `_UNSAFE_PLACEMENT`
-    finds nothing. Substitution then only puts escaped literals where the
-    groups stand, whatever the entities.
+    quantifies one directly, no construct is forbidden, the parse warns of
+    no future change of meaning (a nested set such as `[[a]`) and
+    `_UNSAFE_PLACEMENT` finds nothing. Substitution then only puts escaped
+    literals where the groups stand, whatever the entities.
     """
     if len(payload) > MAX_PATTERN_SOURCE:
         raise LFError("regex source exceeds %d characters" % MAX_PATTERN_SOURCE)
@@ -115,10 +117,14 @@ def _parse_template(payload: str):
     names = ["%s%d" % (prefix, k) for k in range(len(_PLACEHOLDER.findall(payload)))]
     marked = iter(names)
     try:
-        parsed = sre_parser.parse(
-            _PLACEHOLDER.sub(lambda m: "(?P<%s>)" % next(marked), payload), re.IGNORECASE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", FutureWarning)
+            parsed = sre_parser.parse(
+                _PLACEHOLDER.sub(lambda m: "(?P<%s>)" % next(marked), payload), re.IGNORECASE)
     except re.error as exc:
         raise LFError("regex fails to compile with each placeholder as a group: %s" % exc)
+    except FutureWarning as exc:  # e.g. "Possible nested set": a later Python reads it otherwise
+        raise LFError("regex whose meaning changes in a later Python: %s" % exc)
     marks = {parsed.state.groupdict.get(name) for name in names}
     if None in marks:
         raise LFError("entity placeholder inside a class, an escape or a comment")
@@ -269,31 +275,15 @@ class KeywordIndex:
         return np.where(self._matches[key], lf.target_class, ABSTAIN)
 
 
-@dataclass
-class WeakLabelMatrix:
-    entries: np.ndarray  # (n, m), values in {0..C-1} | {ABSTAIN}
-    instance_ids: list
-    lfs: list
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.entries.shape[1]
-
-
-def build_matrix(lfs, instances, index: Optional[KeywordIndex] = None) -> WeakLabelMatrix:
-    """Apply every LF to every instance; column order is LF admission order."""
+def build_matrix(lfs, instances, index: Optional[KeywordIndex] = None) -> np.ndarray:
+    """Apply every LF to every instance: the (n, m) vote array, entries in
+    {0..C-1} | {ABSTAIN}, columns in LF admission order."""
     instances = list(instances)
     if index is None:
         index = KeywordIndex(instances)
     if lfs:
-        entries = np.stack([index.votes(lf) for lf in lfs], axis=1)
-    else:
-        entries = np.zeros((len(instances), 0), dtype=np.int64)
-    return WeakLabelMatrix(entries=entries, instance_ids=[i.id for i in instances], lfs=list(lfs))
+        return np.stack([index.votes(lf) for lf in lfs], axis=1)
+    return np.zeros((len(instances), 0), dtype=np.int64)
 
 
 @dataclass(frozen=True)

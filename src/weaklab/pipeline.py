@@ -246,23 +246,22 @@ def build_backend(config: RunConfig, dataset: Dataset):
 
 def _fit_label_model(config: RunConfig, dataset: Dataset, train_matrix: np.ndarray,
                      valid_accuracies, warm=None) -> aggregate.ProbLabels:
-    ids = [inst.id for inst in dataset.train]
-    n, n_classes = len(ids), dataset.n_classes
+    n, n_classes = len(dataset.train), dataset.n_classes
     if not (train_matrix != ABSTAIN).any():
         return aggregate.ProbLabels(probs=np.full((n, n_classes), 1.0 / n_classes),
-                                    covered=np.zeros(n, dtype=bool), instance_ids=ids)
+                                    covered=np.zeros(n, dtype=bool))
     if config.label_model == "majority":
-        return aggregate.majority_vote(train_matrix, n_classes, ids)
+        return aggregate.majority_vote(train_matrix, n_classes)
     if config.label_model == "weighted":
         accs = [0.5 if acc is None else acc for acc in valid_accuracies]
-        return aggregate.weighted_vote(train_matrix, n_classes, accs, ids)
+        return aggregate.weighted_vote(train_matrix, n_classes, accs)
     if config.label_model == "dawid_skene":
         kind = aggregate.LabelModelKind(em_max_iters=config.em_max_iters, em_tol=config.em_tol,
                                         smoothing=config.smoothing,
                                         em_restarts=config.em_restarts)
         # keyword passed only when set, so a cold fit calls the plain signature
         extra = {} if warm is None else {"warm": warm}
-        return aggregate.dawid_skene_em(train_matrix, n_classes, kind, ids, **extra).problabels
+        return aggregate.dawid_skene_em(train_matrix, n_classes, kind, **extra).problabels
     raise ValueError("unknown label model %r" % config.label_model)
 
 
@@ -356,8 +355,6 @@ def run(config: RunConfig, backend=None, dataset: Optional[Dataset] = None) -> R
     space = downstream.fit_tfidf([inst.text for inst in dataset.train],
                                  min_df=config.min_df, max_features=config.max_features)
     X_train = downstream.featurize_all(space, [inst.text for inst in dataset.train])
-    train_by_id = {inst.id: inst for inst in dataset.train}
-    features_by_id = {inst.id: X_train[i] for i, inst in enumerate(dataset.train)}
 
     gate = lfgate.AdmissionGate(dataset, lfgate.FilterConfig(
         accuracy_threshold=config.accuracy_threshold,
@@ -365,7 +362,9 @@ def run(config: RunConfig, backend=None, dataset: Optional[Dataset] = None) -> R
         enable_accuracy=config.enable_accuracy,
         enable_redundancy=config.enable_redundancy))
     problabels = model = None
-    selection = select.SelectionState(pool=[inst.id for inst in dataset.train])
+    # train rows in instance-id order, so ties and random draws resolve by id
+    selection = select.SelectionState(
+        pool=sorted(range(len(dataset.train)), key=lambda row: dataset.train[row].id))
     records: list = []
     warning = None
     complete_run = True
@@ -376,9 +375,9 @@ def run(config: RunConfig, backend=None, dataset: Optional[Dataset] = None) -> R
             if not selection.pool:
                 warning = "pool exhausted after %d iterations" % (t - 1)
                 break
-            query_id = _select_query(config, selection, problabels, model, rng, gate,
-                                     train_by_id, features_by_id)
-            query = train_by_id[query_id]
+            query = dataset.train[_select_query(config, selection, problabels, model, rng,
+                                                gate, X_train)]
+            query_id = query.id
             examples = (kate.select(query, spec.k_total, spec.cot)
                         if kate is not None else fixed_examples)
             parsed = ask(prompting.build_task_prompt(dataset, query, examples, spec.cot,
@@ -439,27 +438,23 @@ def _first_response_with(parsed, payload, kind) -> int:
     return 0
 
 
-def _select_query(config, selection, problabels, model, rng, gate, train_by_id,
-                  features_by_id):
+def _select_query(config, selection, problabels, model, rng, gate, X_train) -> int:
+    """The train row the configured sampler picks."""
     if config.sampler == "random":
         return select.random_sampler(selection, rng)
     if config.sampler == "uncertainty":
-        return select.uncertainty_sampler(selection, model, features_by_id, rng=rng)
+        return select.uncertainty_sampler(selection, model, X_train, rng=rng)
     if config.sampler == "seu":
-        posteriors = {}
-        uncovered = set(train_by_id)
-        if problabels is not None:
-            for i, iid in enumerate(problabels.instance_ids):
-                posteriors[iid] = problabels.probs[i]
-                if problabels.covered[i]:
-                    uncovered.discard(iid)
+        if problabels is None:  # before the first fit: label 0, every row uncovered
+            n = len(X_train)
+            labels, uncovered = np.zeros(n, dtype=np.int64), np.ones(n, dtype=bool)
+        else:
+            labels, uncovered = problabels.hard_labels(), ~problabels.covered
         accuracy = {(" ".join(lf.tokens), lf.target_class): acc
                     for lf, acc in zip(gate.admitted, gate.valid_accuracies)
                     if lf.kind == KEYWORD and acc is not None}
-        seu = select.SeuState(candidate_accuracy=accuracy, uncovered=uncovered,
-                              posteriors=posteriors)
-        return select.seu_sampler(selection, seu, train_by_id, pool_cap=config.seu_pool_cap,
-                                  rng=rng, index=gate.train_index)
+        return select.seu_sampler(selection, gate.train_index, labels, uncovered, accuracy,
+                                  pool_cap=config.seu_pool_cap, rng=rng)
     raise ValueError("unknown sampler %r" % config.sampler)
 
 

@@ -31,18 +31,15 @@ def entropy(p) -> float:
 
 @dataclass
 class SelectionState:
-    """Without-replacement pool over train instance ids."""
+    """Without-replacement pool over train rows, kept in the order given."""
 
     pool: list
     queried: list = field(default_factory=list)
 
-    def __post_init__(self):
-        self.pool = sorted(self.pool)
-
-    def take(self, instance_id):
-        self.pool.remove(instance_id)
-        self.queried.append(instance_id)
-        return instance_id
+    def take(self, row):
+        self.pool.remove(row)
+        self.queried.append(row)
+        return row
 
 
 def random_sampler(state: SelectionState, rng) -> int:
@@ -52,40 +49,23 @@ def random_sampler(state: SelectionState, rng) -> int:
     return state.take(state.pool[rng.randrange(len(state.pool))])
 
 
-def uncertainty_sampler(state: SelectionState, model, features_by_id, rng=None) -> int:
-    """Pick the pool instance with maximal predictive entropy under the
-    current downstream model; ties go to the lowest id. Falls back to a
-    random draw before the first model exists."""
+def uncertainty_sampler(state: SelectionState, model, features, rng=None) -> int:
+    """Pick the pool row whose `features` row has maximal predictive entropy
+    under the current downstream model; ties go to the earliest in the pool.
+    Falls back to a random draw before the first model exists."""
     if not state.pool:
         raise PoolExhausted("selection pool is empty")
     if model is None:
         if rng is None:
             return state.take(state.pool[0])
         return random_sampler(state, rng)
-    pool = state.pool  # sorted, so ties resolve to the lowest id
-    features = np.stack([features_by_id[iid] for iid in pool])
-    scores = entropy_rows(predict_proba(model, features)).tolist()
+    pool = state.pool
+    scores = entropy_rows(predict_proba(model, features[pool])).tolist()
     best = 0
     for k in range(1, len(pool)):
         if scores[k] > scores[best] + 1e-15:
             best = k
     return state.take(pool[best])
-
-
-@dataclass
-class SeuState:
-    """Inputs for expected-utility scoring.
-
-    candidate_accuracy maps (payload, class) to a validation-accuracy
-    estimate; uncovered is the set of train instance ids not yet covered by
-    the admitted LF set; posteriors maps pool instance id to the current
-    label-model class distribution.
-    """
-
-    candidate_accuracy: dict
-    uncovered: set
-    posteriors: dict
-    accuracy_prior: float = 0.5
 
 
 def expected_utility(candidates) -> float:
@@ -100,21 +80,22 @@ def expected_utility(candidates) -> float:
     return sum((a / total) * (a * ncov) for a, ncov in candidates)
 
 
-def seu_sampler(state: SelectionState, seu: SeuState, train_by_id, pool_cap: Optional[int] = None,
-                rng=None, index: Optional[KeywordIndex] = None) -> int:
-    """Pick the pool instance whose candidate LFs have maximal expected
-    utility; ties go to the lowest id.
+def seu_sampler(state: SelectionState, index: KeywordIndex, labels, uncovered, accuracy,
+                pool_cap: Optional[int] = None, rng=None, prior: float = 0.5) -> int:
+    """Pick the pool row whose candidate LFs have maximal expected utility;
+    ties go to the earliest in the pool.
 
-    An instance's candidates are its 1-3-grams, each for the instance's
-    label (the argmax of its posterior, 0 without one), with the accuracy
-    `candidate_accuracy` gives that (gram, label) or `accuracy_prior`, and
-    covering the uncovered train instances that hold the gram. `index` is a
-    `KeywordIndex` over the train instances; without one, `train_by_id`'s
-    values are indexed. The score is `expected_utility` of the candidates,
-    computed for the whole pool at once: sums run over the grams in
-    `extract_ngrams` order, one column of `index.padded_ids` at a time, so
-    every score equals Python's left-to-right `sum` bit for bit, and no
-    pool × grams float matrix is held.
+    `index` is a `KeywordIndex` over the train rows; `labels` holds each
+    row's label (its posterior argmax) and `uncovered` marks the rows no
+    admitted LF covers. A row's candidates are its 1-3-grams, each for the
+    row's label, with the accuracy `accuracy` gives that (gram, label) or
+    `prior`, and covering the uncovered rows that hold the gram. The score
+    is `expected_utility` of the candidates, computed for the whole pool at
+    once: sums run over the grams in `extract_ngrams` order, one column of
+    `index.padded_ids` at a time, so every score equals Python's
+    left-to-right `sum` bit for bit, and no pool × grams float matrix is
+    held. A pool longer than `pool_cap` is cut to its first `pool_cap` rows,
+    or with `rng` to a sample of that many, kept in pool order.
     """
     if not state.pool:
         raise PoolExhausted("selection pool is empty")
@@ -123,29 +104,20 @@ def seu_sampler(state: SelectionState, seu: SeuState, train_by_id, pool_cap: Opt
         if rng is None:
             pool = pool[:pool_cap]
         else:
-            pool = sorted(rng.sample(pool, pool_cap))
-    if index is None:
-        index = KeywordIndex(train_by_id.values())
-    row_of = {inst.id: i for i, inst in enumerate(index.instances)}
+            pool = [pool[k] for k in sorted(rng.sample(range(len(pool)), pool_cap))]
     pad = len(index.gram_ids)  # the padding id: no gram, accuracy 0, covers nothing
-
-    uncovered = np.zeros(len(index.instances), dtype=bool)
-    uncovered[[row_of[iid] for iid in seu.uncovered if iid in row_of]] = True
     cover = np.bincount(index.ids[np.repeat(uncovered, np.diff(index.indptr))], minlength=pad + 1)
 
-    labels = np.zeros(len(pool), dtype=np.int64)
-    known = [k for k, iid in enumerate(pool) if iid in seu.posteriors]
-    if known:
-        labels[known] = np.argmax([seu.posteriors[pool[k]] for k in known], axis=1)
+    rows = np.array(pool, dtype=np.int64)
+    labels = labels[rows]
     n_labels = int(labels.max()) + 1
-    table = np.full((n_labels, pad + 1), float(seu.accuracy_prior))
+    table = np.full((n_labels, pad + 1), float(prior))
     table[:, pad] = 0.0
-    for (gram, label), acc in seu.candidate_accuracy.items():
+    for (gram, label), acc in accuracy.items():
         gram_id = index.gram_ids.get(gram)
         if gram_id is not None and 0 <= label < n_labels:
             table[label, gram_id] = acc
 
-    rows = np.array([row_of[iid] for iid in pool], dtype=np.int64)
     total = np.zeros(len(pool))
     for column in index.padded_ids.T:
         total += table[labels, column[rows]]

@@ -31,13 +31,12 @@ from weaklab import aggregate, labelfns, pipeline
 from weaklab.aggregate import LabelModelKind, dawid_skene_em, majority_vote
 from weaklab.corpus import Dataset, Instance, LoadError, TEXT_TASK, load_dataset, save_dataset
 from weaklab.downstream import LinearModel, loss_and_grad, predict_proba, train_logreg
-from weaklab.labelfns import ABSTAIN, KEYWORD, LFError
+from weaklab.labelfns import ABSTAIN, KEYWORD, KeywordIndex, LFError
 from weaklab.lfgate import FilterConfig, accuracy_filter, redundancy_filter
 from weaklab.pipeline import RunConfig, compute_metrics, generate_synthetic, run, write_synthetic
 from weaklab.prompting import ParsedResponse, PromptSpec, aggregate_sc, cosine_distance, kate_neighbors
 from weaklab.select import (
     SelectionState,
-    SeuState,
     entropy,
     expected_utility,
     seu_sampler,
@@ -364,13 +363,15 @@ def test_samplers_match_brute_force_references():
         n_classes = int(rng.integers(2, 4))
         model = LinearModel(weights=rng.normal(size=(n_classes, dim)),
                             bias=rng.normal(size=n_classes), l2=0.0)
-        features = {iid: rng.normal(size=dim) for iid in pool}
+        features = np.zeros((1000, dim))  # row r holds the features of instance r
+        for row in pool:
+            features[row] = rng.normal(size=dim)
         expected = None
         best = -1.0
-        for iid in pool:  # ascending ids: ties resolve to the lowest id
-            h = entropy(predict_proba(model, features[iid])[0])
+        for row in pool:  # ascending: ties resolve to the lowest row
+            h = entropy(predict_proba(model, features[row])[0])
             if h > best + 1e-15:
-                best, expected = h, iid
+                best, expected = h, row
         state = SelectionState(pool=list(pool))
         assert uncertainty_sampler(state, model, features) == expected
 
@@ -392,14 +393,13 @@ def test_samplers_match_brute_force_references():
     # / 0.9 = 4.5.  The sampler must pick x1.
     assert expected_utility([(1.0, 8)]) == pytest.approx(8.0)
     assert expected_utility([(0.9, 5)]) == pytest.approx(4.5)
-    train = {1: Instance(id=1, text="alpha"), 2: Instance(id=2, text="beta")}
-    uncovered_texts = ["alpha"] * 8 + ["beta"] * 5
-    for offset, text in enumerate(uncovered_texts):
-        train[100 + offset] = Instance(id=100 + offset, text=text)
-    seu = SeuState(candidate_accuracy={("alpha", 1): 1.0, ("beta", 1): 0.9},
-                   uncovered=set(range(100, 100 + len(uncovered_texts))),
-                   posteriors={1: [0.0, 1.0], 2: [0.0, 1.0]})
-    assert seu_sampler(SelectionState(pool=[1, 2]), seu, train) == 1
+    # rows 0 and 1 are x1 and x2, labelled 1; the rest are uncovered
+    texts = ["alpha", "beta"] + ["alpha"] * 8 + ["beta"] * 5
+    index = KeywordIndex([Instance(id=row, text=text) for row, text in enumerate(texts)])
+    labels = np.array([1, 1] + [0] * 13)
+    uncovered = np.arange(len(texts)) >= 2
+    accuracy = {("alpha", 1): 1.0, ("beta", 1): 0.9}
+    assert seu_sampler(SelectionState(pool=[0, 1]), index, labels, uncovered, accuracy) == 0
 
     # positive rescaling of utilities (here: of the coverage counts) scales
     # every score linearly and cannot change the ranking
@@ -554,8 +554,8 @@ def test_metric_suite_hand_computed():
     # "song"->HAM:  fires on rows 4-5, correct on 1 of 2 -> acc 0.50, cov 0.2
     lfs = [labelfns.compile_lf(KEYWORD, "free", 1, classes, TEXT_TASK),
            labelfns.compile_lf(KEYWORD, "song", 0, classes, TEXT_TASK)]
-    matrix = labelfns.build_matrix(lfs, train).entries
-    problabels = aggregate.majority_vote(matrix, 2, [i.id for i in train])
+    matrix = labelfns.build_matrix(lfs, train)
+    problabels = aggregate.majority_vote(matrix, 2)
 
     records = [pipeline.IterationRecord(t=t, query_id=t, label=lab, gold_label=gold,
                                         proposed=1, admitted=0, verdicts=[])

@@ -321,7 +321,7 @@ class TestResolveTrainingLabels:
     def _problabels(self):
         probs = np.array([[0.2, 0.8], [0.5, 0.5], [0.9, 0.1]])
         covered = np.array([True, False, True])
-        return ProbLabels(probs=probs, covered=covered, instance_ids=[0, 1, 2])
+        return ProbLabels(probs=probs, covered=covered)
 
     def test_uncovered_takes_default_class(self):
         rows, labels = resolve_training_labels(self._problabels(), self._dataset(0))

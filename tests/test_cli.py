@@ -129,8 +129,8 @@ def noisy_lfs(tmp_path_factory):
            for payload, cls in payloads]
     lf_path = root / "lfs.jsonl"
     labelfns.save_lfs(lfs, lf_path)
-    train = labelfns.build_matrix(lfs, dataset.train).entries
-    valid = labelfns.build_matrix(lfs, dataset.valid).entries
+    train = labelfns.build_matrix(lfs, dataset.train)
+    valid = labelfns.build_matrix(lfs, dataset.valid)
     gold = np.array([inst.gold_label for inst in dataset.valid])
     accuracies = [lfgate.measure_accuracy(valid[:, j], gold) for j in range(len(lfs))]
     assert accuracies[-2:] == [None, None]
@@ -175,9 +175,9 @@ def test_eval_lfs_passes_em_restarts(noisy_lfs, monkeypatch):
     kinds = []
     fit = aggregate.dawid_skene_em
 
-    def recording_fit(entries, n_classes, kind=None, instance_ids=None):
+    def recording_fit(entries, n_classes, kind=None):
         kinds.append(kind)
-        return fit(entries, n_classes, kind, instance_ids)
+        return fit(entries, n_classes, kind)
 
     monkeypatch.setattr(aggregate, "dawid_skene_em", recording_fit)
     noisy_lfs["eval_lfs"](label_model="dawid_skene", em_restarts=5, em_max_iters=40)

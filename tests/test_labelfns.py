@@ -319,18 +319,18 @@ class TestKeywordIndex:
 class TestMatrix:
     def test_empty_lf_set(self):
         matrix = build_matrix([], [Instance(id=i, text="x") for i in range(4)])
-        assert matrix.entries.shape == (4, 0)
+        assert matrix.shape == (4, 0)
 
     def test_saturating_lf(self):
         lf = kw("free")
         matrix = build_matrix([lf], [Instance(id=i, text="free thing") for i in range(3)])
-        assert (matrix.entries[:, 0] == 1).all()
+        assert (matrix[:, 0] == 1).all()
 
     def test_identical_lfs_identical_columns(self):
         lfs = [kw("free"), kw("free")]
         insts = [Instance(id=0, text="free stuff"), Instance(id=1, text="other")]
         matrix = build_matrix(lfs, insts)
-        assert (matrix.entries[:, 0] == matrix.entries[:, 1]).all()
+        assert (matrix[:, 0] == matrix[:, 1]).all()
 
     def test_column_purity(self):
         lfs = [kw("free", 1), kw("song", 0)]
@@ -338,7 +338,7 @@ class TestMatrix:
                  enumerate(["free song", "free stuff", "nice song", "nothing"])]
         matrix = build_matrix(lfs, insts)
         for j, lf in enumerate(lfs):
-            col = matrix.entries[:, j]
+            col = matrix[:, j]
             assert set(col[col != ABSTAIN]) <= {lf.target_class}
 
 

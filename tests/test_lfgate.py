@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -239,10 +241,19 @@ def _relation_dataset():
     r"{{E1}} [a-{{E2}}]",  # E2 "3" makes the bad range [a-3]
     r"[{{E1}}]+ song",  # the entity's characters join a class
     r"{{E1}}.{0,40}song{{E2}}?",  # the repeat takes only the entity's last character
+    # set syntax that a later Python reads differently ("Possible nested set")
+    r"{{E1}} [[a] {{E2}}",
+    r"{{E1}} [a--b] {{E2}}",
+    r"{{E1}} [a&&b] {{E2}}",
+    r"{{E1}} [a||b] {{E2}}",
+    r"{{E1}} [a~~b] {{E2}}",
 ])
 def test_unsafe_pattern_templates_get_a_validity_verdict(template):
     gate = AdmissionGate(_relation_dataset(), FilterConfig(enable_accuracy=False))
-    new, verdicts = gate.admit([CandidateSpec(PATTERN, template, 1)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        new, verdicts = gate.admit([CandidateSpec(PATTERN, template, 1)])
+    assert caught == []
     assert new == []
     assert verdicts[0].outcome == REJECTED and verdicts[0].stage == STAGE_VALIDITY
 

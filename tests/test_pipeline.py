@@ -319,9 +319,8 @@ class TestComputeMetrics:
 
     def test_hand_computed_lf_and_train_metrics(self):
         dataset, lfs, matrix = self._fixture()
-        problabels = aggregate.majority_vote(matrix.entries, 2,
-                                             [i.id for i in dataset.train])
-        metrics = compute_metrics(dataset, lfs, matrix.entries, problabels,
+        problabels = aggregate.majority_vote(matrix, 2)
+        metrics = compute_metrics(dataset, lfs, matrix, problabels,
                                   model=None, space=None, iteration_records=[])
         assert metrics["lf_num"] == 2
         # "free": coverage 2/5, accuracy 1.0; "song": coverage 1/5, accuracy 1.0
@@ -340,7 +339,7 @@ class TestComputeMetrics:
             pipeline.IterationRecord(t=2, query_id=1, label=1, gold_label=0,
                                      proposed=0, admitted=0, verdicts=[]),
         ]
-        metrics = compute_metrics(dataset, lfs, matrix.entries, None, None, None, records)
+        metrics = compute_metrics(dataset, lfs, matrix, None, None, None, records)
         assert metrics["plm_acc"] == pytest.approx(0.5)
 
     def test_empty_lf_set_metrics(self):
@@ -439,3 +438,34 @@ def test_relation_run_survives_a_placeholder_in_a_class(tmp_path):
     report = run(_relation_config(tmp_path, dataset), backend=RangeBackend(), dataset=dataset)
     assert report.complete and len(report.iterations) == 6
     assert {v["stage"] for it in report.iterations for v in it["verdicts"]} == {"validity"}
+
+
+@pytest.mark.parametrize("sampler, picks", [
+    # the empty rows score x = 0, the most uncertain row under a model fit
+    # to class 0 alone; the first pick is a random draw
+    ("uncertainty", [4, 6, 8]),
+    # "alpha beta" holds the grams that cover most of the uncovered rows
+    ("seu", [5, 9, 7]),
+])
+def test_sampler_ties_resolve_to_the_lowest_id(tmp_path, sampler, picks):
+    """Each pair of identical texts lists the higher id first, so a pool in
+    file order would pick the higher id of the tie."""
+    class LabelOnly:
+        name = "label-only"
+
+        def complete(self, request):  # a label and no keyword: nothing is admitted
+            return ["LABEL: A\nKEYWORDS: NONE"] * request.n
+
+    texts = [(7, "alpha gamma"), (9, "alpha beta"), (5, "alpha beta"), (8, ""), (6, ""),
+             (4, "delta")]
+    dataset = Dataset(task_kind=TEXT_TASK, classes=["A", "B"], default_class=0,
+                      train=[Instance(id=i, text=t, gold_label=0) for i, t in texts],
+                      valid=[Instance(id=20 + c, text="alpha", gold_label=c) for c in (0, 1)],
+                      test=[Instance(id=30, text="beta", gold_label=0)])
+    annotations = tmp_path / "annotations.jsonl"
+    annotations.write_text("".join(json.dumps({"id": inst.id}) + "\n"
+                                   for inst in dataset.valid))
+    config = RunConfig(annotations_path=str(annotations), sampler=sampler, n_iterations=3,
+                       max_opt_iters=50)
+    report = run(config, backend=LabelOnly(), dataset=dataset)
+    assert [it["query_id"] for it in report.iterations] == picks

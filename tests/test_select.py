@@ -11,7 +11,6 @@ from weaklab.labelfns import KeywordIndex
 from weaklab.select import (
     PoolExhausted,
     SelectionState,
-    SeuState,
     entropy,
     entropy_rows,
     expected_utility,
@@ -52,12 +51,9 @@ class TestEntropy:
 class TestSelectionState:
     def test_without_replacement(self):
         state = SelectionState(pool=[3, 1, 2])
-        state.take(2)
-        assert state.pool == [1, 3]
-        assert state.queried == [2]
-
-    def test_pool_is_sorted(self):
-        assert SelectionState(pool=[9, 4, 7]).pool == [4, 7, 9]
+        state.take(1)
+        assert state.pool == [3, 2]
+        assert state.queried == [1]
 
 
 class TestRandomSampler:
@@ -78,15 +74,15 @@ class TestRandomSampler:
             random_sampler(SelectionState(pool=[]), random.Random(0))
 
 
-def _scan_pick(pool, model, features_by_id):
+def _scan_pick(pool, model, features):
     """The reference pick: one predict_proba and entropy call per pool row,
-    in id order, keeping the first of scores within 1e-15 of each other."""
-    best_id, best_score = None, -1.0
-    for iid in sorted(pool):
-        score = entropy(predict_proba(model, features_by_id[iid])[0])
+    in pool order, keeping the first of scores within 1e-15 of each other."""
+    best_row, best_score = None, -1.0
+    for row in pool:
+        score = entropy(predict_proba(model, features[row])[0])
         if score > best_score + 1e-15:
-            best_id, best_score = iid, score
-    return best_id
+            best_row, best_score = row, score
+    return best_row
 
 
 class TestUncertaintySampler:
@@ -95,35 +91,39 @@ class TestUncertaintySampler:
         return LinearModel(weights=np.array([[0.0], [1.0]]), bias=np.zeros(2), l2=0.0)
 
     def test_picks_highest_entropy(self):
-        features = {0: np.array([5.0]), 1: np.array([0.1]), 2: np.array([-4.0])}
+        features = np.array([[5.0], [0.1], [-4.0]])
         state = SelectionState(pool=[0, 1, 2])
         assert uncertainty_sampler(state, self._model(), features) == 1
 
     def test_tie_breaks_to_lowest_id(self):
-        features = {4: np.array([2.0]), 7: np.array([2.0])}
-        state = SelectionState(pool=[7, 4])
-        assert uncertainty_sampler(state, self._model(), features) == 4
+        # rows 0 and 1 hold instances 7 and 4; the pool lists them in id order
+        features = np.array([[2.0], [2.0]])
+        state = SelectionState(pool=[1, 0])
+        assert uncertainty_sampler(state, self._model(), features) == 1
 
     def test_duplicate_rows_pick_the_lowest_id(self):
         model = LinearModel(weights=np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]),
                             bias=np.zeros(3), l2=0.0)
         top = np.array([0.3, 0.2])
-        features = {9: top.copy(), 3: np.array([4.0, 0.0]), 5: top.copy(),
-                    7: np.array([0.0, -3.0]), 11: top.copy()}
-        assert _scan_pick(features, model, features) == 5
-        assert uncertainty_sampler(SelectionState(pool=list(features)), model, features) == 5
+        features = np.zeros((12, 2))
+        features[[9, 5, 11]] = top
+        features[3], features[7] = [4.0, 0.0], [0.0, -3.0]
+        pool = [3, 5, 7, 9, 11]
+        assert _scan_pick(pool, model, features) == 5
+        assert uncertainty_sampler(SelectionState(pool=pool), model, features) == 5
 
     def test_rows_with_exact_zero_probabilities(self):
-        # a logit gap of 800 underflows exp to 0.0: id 6 scores (0, 1/2, 1/2),
-        # the most uncertain row, and ids 2 and 8 carry exact zeros as well
+        # a logit gap of 800 underflows exp to 0.0: row 6 scores (0, 1/2, 1/2),
+        # the most uncertain row, and rows 2 and 8 carry exact zeros as well
         model = LinearModel(weights=np.array([[0.0, 0.0], [800.0, 0.0], [800.0, 1.0]]),
                             bias=np.zeros(3), l2=0.0)
-        features = {1: np.array([0.0, 5.0]), 2: np.array([1.0, 30.0]),
-                    4: np.array([0.0, 8.0]), 6: np.array([1.0, 0.0]),
-                    8: np.array([-1.0, 0.0])}
+        features = np.zeros((9, 2))
+        features[[1, 2, 4, 6, 8]] = [[0.0, 5.0], [1.0, 30.0], [0.0, 8.0], [1.0, 0.0],
+                                     [-1.0, 0.0]]
+        pool = [1, 2, 4, 6, 8]
         assert (predict_proba(model, features[6])[0] == [0.0, 0.5, 0.5]).all()
-        assert _scan_pick(features, model, features) == 6
-        assert uncertainty_sampler(SelectionState(pool=list(features)), model, features) == 6
+        assert _scan_pick(pool, model, features) == 6
+        assert uncertainty_sampler(SelectionState(pool=pool), model, features) == 6
 
     def test_matches_the_per_row_scan(self):
         # random 2- to 4-class models over small integer features, so rows
@@ -134,24 +134,26 @@ class TestUncertaintySampler:
             scale = float(rng.choice([0.1, 1.0, 500.0]))
             model = LinearModel(weights=scale * rng.normal(size=(n_classes, dim)),
                                 bias=rng.normal(size=n_classes), l2=0.0)
-            ids = rng.choice(1000, size=int(rng.integers(1, 30)), replace=False).tolist()
-            features = {iid: rng.integers(-2, 3, size=dim).astype(float) for iid in ids}
-            want = _scan_pick(ids, model, features)
-            assert uncertainty_sampler(SelectionState(pool=ids), model, features) == want
+            pool = rng.choice(1000, size=int(rng.integers(1, 30)), replace=False).tolist()
+            features = np.zeros((1000, dim))
+            for row in pool:
+                features[row] = rng.integers(-2, 3, size=dim)
+            want = _scan_pick(pool, model, features)
+            assert uncertainty_sampler(SelectionState(pool=pool), model, features) == want
 
     def test_no_model_falls_back_to_random(self):
         state = SelectionState(pool=[5, 6, 7])
         rng = random.Random(0)
-        picked = uncertainty_sampler(state, None, {}, rng)
+        picked = uncertainty_sampler(state, None, None, rng)
         assert picked in (5, 6, 7)
 
     def test_no_model_no_rng_takes_lowest(self):
         state = SelectionState(pool=[5, 6, 7])
-        assert uncertainty_sampler(state, None, {}) == 5
+        assert uncertainty_sampler(state, None, None) == 5
 
     def test_empty_pool(self):
         with pytest.raises(PoolExhausted):
-            uncertainty_sampler(SelectionState(pool=[]), self._model(), {})
+            uncertainty_sampler(SelectionState(pool=[]), self._model(), np.zeros((0, 1)))
 
 
 class TestExpectedUtility:
@@ -177,91 +179,82 @@ class TestExpectedUtility:
         assert 0.0 <= score <= best + 1e-9
 
 
-class TestSeuSampler:
-    def _setup(self):
-        train = {
-            0: Instance(id=0, text="alpha beta"),
-            1: Instance(id=1, text="gamma delta"),
-            2: Instance(id=2, text="alpha gamma"),
-        }
-        return train
+def _index(*texts):
+    return KeywordIndex([Instance(id=row, text=text) for row, text in enumerate(texts)])
 
+
+def _rows(n, marked):
+    mask = np.zeros(n, dtype=bool)
+    mask[list(marked)] = True
+    return mask
+
+
+class TestSeuSampler:
     def test_prefers_high_utility_instance(self):
-        train = self._setup()
-        # "alpha" is accurate and covers both uncovered instances; grams of
-        # instance 1 are unknown (prior accuracy, low coverage).
-        seu = SeuState(
-            candidate_accuracy={("alpha", 1): 1.0},
-            uncovered={0, 2},
-            posteriors={0: [0.1, 0.9], 1: [0.1, 0.9], 2: [0.1, 0.9]},
-        )
+        index = _index("alpha beta", "gamma delta", "alpha gamma")
+        # "alpha" is accurate and covers both uncovered rows; grams of row 1
+        # are unknown (prior accuracy, low coverage).
         state = SelectionState(pool=[0, 1, 2])
-        assert seu_sampler(state, seu, train) in (0, 2)
+        picked = seu_sampler(state, index, np.ones(3, dtype=np.int64), _rows(3, {0, 2}),
+                             {("alpha", 1): 1.0})
+        assert picked in (0, 2)
 
     def test_tie_breaks_to_lowest_id(self):
-        train = {0: Instance(id=0, text="same text"), 1: Instance(id=1, text="same text")}
-        seu = SeuState(candidate_accuracy={}, uncovered={0, 1},
-                       posteriors={0: [1.0, 0.0], 1: [1.0, 0.0]})
-        state = SelectionState(pool=[0, 1])
-        assert seu_sampler(state, seu, train) == 0
+        # the pool lists the rows in id order
+        index = KeywordIndex([Instance(id=1, text="same text"), Instance(id=0, text="same text")])
+        state = SelectionState(pool=[1, 0])
+        assert seu_sampler(state, index, np.zeros(2, dtype=np.int64), _rows(2, {0, 1}), {}) == 1
 
     def test_pool_cap_subsamples_deterministically(self):
-        train = {i: Instance(id=i, text="tok%d" % i) for i in range(20)}
-        seu = SeuState(candidate_accuracy={}, uncovered=set(range(20)),
-                       posteriors={i: [1.0, 0.0] for i in range(20)})
+        index = _index(*["tok%d" % i for i in range(20)])
+        labels, uncovered = np.zeros(20, dtype=np.int64), _rows(20, range(20))
         state = SelectionState(pool=list(range(20)))
-        rng = random.Random(7)
-        first = seu_sampler(state, seu, train, pool_cap=5, rng=rng)
+        first = seu_sampler(state, index, labels, uncovered, {}, pool_cap=5,
+                            rng=random.Random(7))
         state2 = SelectionState(pool=list(range(20)))
-        rng2 = random.Random(7)
-        assert seu_sampler(state2, seu, train, pool_cap=5, rng=rng2) == first
+        assert seu_sampler(state2, index, labels, uncovered, {}, pool_cap=5,
+                           rng=random.Random(7)) == first
 
     def test_coverage_drives_choice(self):
-        # identical accuracies; instance 0's gram covers 2 uncovered
-        # instances, instance 1's covers none.
-        train = {
-            0: Instance(id=0, text="shared"),
-            1: Instance(id=1, text="unique"),
-            2: Instance(id=2, text="shared"),
-            3: Instance(id=3, text="shared"),
-        }
-        seu = SeuState(candidate_accuracy={}, uncovered={2, 3},
-                       posteriors={i: [1.0, 0.0] for i in range(4)})
+        # identical accuracies; row 0's gram covers 2 uncovered rows, row 1's
+        # covers none.
+        index = _index("shared", "unique", "shared", "shared")
         state = SelectionState(pool=[0, 1])
-        assert seu_sampler(state, seu, train) == 0
+        assert seu_sampler(state, index, np.zeros(4, dtype=np.int64), _rows(4, {2, 3}), {}) == 0
 
     def test_empty_pool(self):
         with pytest.raises(PoolExhausted):
-            seu_sampler(SelectionState(pool=[]), SeuState({}, set(), {}), {})
+            seu_sampler(SelectionState(pool=[]), _index(), np.zeros(0, dtype=np.int64),
+                        np.zeros(0, dtype=bool), {})
 
 
-def _reference_candidates(instance, seu, cover_count):
-    cls = seu.posteriors.get(instance.id)
-    label = int(np.argmax(cls)) if cls is not None else 0
-    return [(seu.candidate_accuracy.get((gram, label), seu.accuracy_prior), cover_count(gram))
+def _reference_candidates(instance, label, accuracy, prior, cover_count):
+    return [(accuracy.get((gram, label), prior), cover_count(gram))
             for gram in extract_ngrams(tokenize(instance.text), 1, 3)]
 
 
-def _reference_seu_pick(state, seu, train_by_id, pool_cap=None, rng=None):
+def _reference_seu_pick(state, train, labels, uncovered, accuracy, prior, pool_cap=None,
+                        rng=None):
     """The per-row SEU scan: tokenize every uncovered and every pool row, score
-    each pool row with `expected_utility` in id order, and keep the first of
-    scores within 1e-12 of each other."""
+    each pool row with `expected_utility` in pool order, and keep the first of
+    scores within 1e-12 of each other. A capped pool is an `rng.sample` of the
+    pool, put back in pool order."""
     pool = state.pool
     if pool_cap is not None and len(pool) > pool_cap:
-        pool = pool[:pool_cap] if rng is None else sorted(rng.sample(pool, pool_cap))
+        pool = pool[:pool_cap] if rng is None else sorted(rng.sample(pool, pool_cap),
+                                                          key=pool.index)
     uncovered_grams = {}
-    for iid in seu.uncovered:
-        inst = train_by_id.get(iid)
-        if inst is not None:
+    for row, inst in enumerate(train):
+        if uncovered[row]:
             for gram in set(extract_ngrams(tokenize(inst.text), 1, 3)):
                 uncovered_grams[gram] = uncovered_grams.get(gram, 0) + 1
-    best_id, best_score = None, -math.inf
-    for iid in pool:
+    best_row, best_score = None, -math.inf
+    for row in pool:
         score = expected_utility(_reference_candidates(
-            train_by_id[iid], seu, lambda gram: uncovered_grams.get(gram, 0)))
+            train[row], labels[row], accuracy, prior, lambda gram: uncovered_grams.get(gram, 0)))
         if score > best_score + 1e-12:
-            best_id, best_score = iid, score
-    return state.take(best_id)
+            best_row, best_score = row, score
+    return state.take(best_row)
 
 
 # Few tokens and separators, so texts repeat, grams repeat within a row and
@@ -274,49 +267,49 @@ _ACCURACIES = st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.6, 2 / 3, 0.7, 0.9, 1.0])
 
 @st.composite
 def seu_cases(draw):
+    """Train rows with unique ids in drawn order, and the pool as the rows in
+    id order, as `pipeline.run` builds it."""
     n_classes = draw(st.sampled_from([2, 3]))
     ids = draw(st.lists(st.integers(0, 60), min_size=1, max_size=12, unique=True))
     texts = [draw(st.sampled_from(_SEPARATORS)).join(
         draw(st.lists(st.sampled_from(_TOKENS), max_size=6))) for _ in ids]
     if len(ids) > 1 and draw(st.booleans()):
         texts[-1] = texts[0]
-    train = {iid: Instance(id=iid, text=text) for iid, text in zip(ids, texts)}
-    probs = st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=n_classes,
-                     max_size=n_classes)
-    posteriors = {iid: draw(probs) for iid in ids if draw(st.booleans())}
-    uncovered = {iid for iid in ids if draw(st.booleans())}
-    uncovered |= set(draw(st.lists(st.integers(100, 110), max_size=3)))
+    train = [Instance(id=iid, text=text) for iid, text in zip(ids, texts)]
+    labels = np.array([draw(st.integers(0, n_classes - 1)) for _ in ids], dtype=np.int64)
+    uncovered = np.array([draw(st.booleans()) for _ in ids])
     grams = sorted({g for text in texts for g in extract_ngrams(tokenize(text), 1, 3)})
     grams += ["zeta", "alpha zeta"]  # accuracy keys for grams no row holds
     keys = st.tuples(st.sampled_from(grams), st.integers(0, n_classes - 1))
     accuracy = draw(st.dictionaries(keys, _ACCURACIES, max_size=10))
-    seu = SeuState(candidate_accuracy=accuracy, uncovered=uncovered, posteriors=posteriors,
-                   accuracy_prior=draw(st.sampled_from([0.0, 0.5])))
+    prior = draw(st.sampled_from([0.0, 0.5]))
     pool_cap = draw(st.one_of(st.none(), st.integers(1, len(ids))))
-    order = draw(st.permutations(ids))
-    return train, seu, pool_cap, draw(st.integers(0, 10)), order
+    pool = sorted(range(len(ids)), key=lambda row: ids[row])
+    return train, labels, uncovered, accuracy, prior, pool_cap, draw(st.integers(0, 10)), pool
 
 
 class TestSeuMatchesPerRowScan:
     @settings(max_examples=300, deadline=None)
-    @given(seu_cases(), st.booleans())
-    def test_every_pick_of_a_drained_pool(self, case, with_index):
-        train, seu, pool_cap, seed, order = case
-        # the index may list the rows in any order; the sampler maps ids to rows
-        index = KeywordIndex([train[iid] for iid in order]) if with_index else None
-        want_state, got_state = SelectionState(pool=list(train)), SelectionState(pool=list(train))
+    @given(seu_cases())
+    def test_every_pick_of_a_drained_pool(self, case):
+        train, labels, uncovered, accuracy, prior, pool_cap, seed, pool = case
+        index = KeywordIndex(train)
+        want_state, got_state = SelectionState(pool=list(pool)), SelectionState(pool=list(pool))
         want_rng, got_rng = random.Random(seed), random.Random(seed)
         while want_state.pool:
-            want = _reference_seu_pick(want_state, seu, train, pool_cap, want_rng)
-            got = seu_sampler(got_state, seu, train, pool_cap, got_rng, index=index)
+            want = _reference_seu_pick(want_state, train, labels, uncovered, accuracy, prior,
+                                       pool_cap, want_rng)
+            got = seu_sampler(got_state, index, labels, uncovered, accuracy, pool_cap, got_rng,
+                              prior)
             assert got == want
         assert got_state.queried == want_state.queried
 
     def test_duplicate_text_with_punctuation_picks_the_lowest_id(self):
-        train = {5: Instance(id=5, text="beta, beta gamma!"), 2: Instance(id=2, text="beta gamma"),
-                 9: Instance(id=9, text="Beta gamma"), 4: Instance(id=4, text="")}
-        seu = SeuState(candidate_accuracy={("beta gamma", 1): 0.9}, uncovered={2, 9, 4, 77},
-                       posteriors={2: [0.2, 0.8], 9: [0.2, 0.8], 5: [0.5, 0.5]})
-        state = SelectionState(pool=list(train))
-        picks = [seu_sampler(state, seu, train) for _ in range(4)]
-        assert picks == [2, 9, 5, 4]
+        train = [Instance(id=5, text="beta, beta gamma!"), Instance(id=2, text="beta gamma"),
+                 Instance(id=9, text="Beta gamma"), Instance(id=4, text="")]
+        # rows in id order; ids 2 and 9 are labelled 1, and ids 2, 9 and 4 uncovered
+        state = SelectionState(pool=[1, 3, 0, 2])
+        labels, uncovered = np.array([0, 1, 1, 0]), _rows(4, {1, 2, 3})
+        picks = [seu_sampler(state, KeywordIndex(train), labels, uncovered,
+                             {("beta gamma", 1): 0.9}) for _ in range(4)]
+        assert [train[row].id for row in picks] == [2, 9, 5, 4]
