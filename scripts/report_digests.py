@@ -13,13 +13,16 @@ and chain-of-thought prompting on the benchmark's relation corpus of seed 0
 with `seu_pool_cap` 25, below the 80-row pool, score a seeded sample of the
 pool with each label model. A copy of the binary corpus whose train file
 lists its rows in shuffled id order runs each sampler, SEU both uncapped
-and at `seu_pool_cap` 25. Last come `weaklab eval-lfs` reports, one per
-label model: over a low-signal corpus, for its signature LFs plus six
-noise-keyword LFs; then over the relation corpus, for six hand-written
-pattern LFs: the mock's shape and five it never writes (a multi-word gram,
-a placeholder inside an atomic group, a top-level branch, no literal, a
-verbose template). Text corpora come from
-`generate_synthetic` at the size the test suite uses (80/40/40).
+and at `seu_pool_cap` 25. The uncertainty and SEU samplers run with the
+weighted vote and Dawid-Skene at `max_opt_iters` 3, where no classifier fit
+converges and an iteration that admits nothing still retrains the
+classifier. Last come `weaklab eval-lfs` reports, one per label model:
+over a low-signal corpus, for its signature LFs plus six noise-keyword
+LFs; then over the relation corpus, for six hand-written pattern LFs: the
+mock's shape and five it never writes (a multi-word gram, a placeholder
+inside an atomic group, a top-level branch, no literal, a verbose
+template). Text corpora come from `generate_synthetic` at the size the
+test suite uses (80/40/40).
 
 Run from the root of a checkout; `src` may come from another checkout:
     PYTHONPATH=src python3 scripts/report_digests.py > digests.txt
@@ -107,6 +110,10 @@ def main():
         # train ids that do not ascend: ties and random draws still go by id
         points += [("shuffled", dict(sampler=s)) for s in SAMPLERS]
         points += [("shuffled", dict(sampler="seu", seu_pool_cap=25))]
+        # a classifier capped at 3 steps never converges, so idle iterations retrain it
+        points += [("binary", dict(label_model=lm, sampler=s, max_opt_iters=3))
+                   for lm, s in itertools.product(("weighted", "dawid_skene"),
+                                                  ("uncertainty", "seu"))]
 
         for corpus_name, overrides in points:
             out, _, _, base = corpora[corpus_name]

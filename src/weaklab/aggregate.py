@@ -100,7 +100,7 @@ def weighted_vote(entries: np.ndarray, n_classes: int, lf_accuracies) -> ProbLab
     # over their k scores only, so each row sum adds the same k terms in the
     # same order as a per-row softmax would.
     n_voted = voted.sum(axis=1)
-    for k in np.unique(n_voted[covered]):
+    for k in np.flatnonzero(np.bincount(n_voted[covered])):
         rows = n_voted == k
         mask = voted[rows]
         z = scores[rows][mask].reshape(-1, k)

@@ -40,6 +40,7 @@ MAX_PATTERN_SOURCE = 100_000
 _E1 = "{{E1}}"
 _E2 = "{{E2}}"
 _PLACEHOLDER = re.compile(r"\{\{E[12]\}\}")
+_MARK = "(?P<%s>)"  # what a placeholder becomes in its template's parse
 # An entity right after `{`, `,` or a digit could become or extend a repeat
 # count or an octal escape; one next to a `{{E` that is no placeholder could
 # complete an `{{E2}}`, which the second substitution then replaces. The
@@ -120,16 +121,37 @@ def _parse_template(payload: str):
         with warnings.catch_warnings():
             warnings.simplefilter("error", FutureWarning)
             parsed = sre_parser.parse(
-                _PLACEHOLDER.sub(lambda m: "(?P<%s>)" % next(marked), payload), re.IGNORECASE)
-    except re.error as exc:
-        raise LFError("regex fails to compile with each placeholder as a group: %s" % exc)
+                _PLACEHOLDER.sub(lambda m: _MARK % next(marked), payload), re.IGNORECASE)
+    except re.error as exc:  # re-raised at the position in the template, with its line
+        pos = None if exc.pos is None else _template_position(payload, names, exc.pos)
+        raise LFError("regex fails to compile with each placeholder as a group: %s"
+                      % re.error(exc.msg, payload, pos))
     except FutureWarning as exc:  # e.g. "Possible nested set": a later Python reads it otherwise
-        raise LFError("regex whose meaning changes in a later Python: %s" % exc)
+        message = re.sub(r"(?<=at position )\d+",
+                         lambda m: str(_template_position(payload, names, int(m.group()))),
+                         str(exc))
+        raise LFError("regex whose meaning changes in a later Python: %s" % message)
     marks = {parsed.state.groupdict.get(name) for name in names}
     if None in marks:
         raise LFError("entity placeholder inside a class, an escape or a comment")
     _walk_parsed(parsed, marks)
     return parsed
+
+
+def _template_position(payload: str, names, pos: int) -> int:
+    """The position in `payload` of position `pos` of its marked parse
+    source, where the k-th placeholder stands as group `names[k]`; a
+    position inside a group is its placeholder's."""
+    shift = 0  # marked length minus template length, up to the last group passed
+    for name, m in zip(names, _PLACEHOLDER.finditer(payload)):
+        start = m.start() + shift
+        if pos < start:
+            break
+        width = len(_MARK % name)
+        if pos < start + width:
+            return m.start()
+        shift += width - len(m.group())
+    return pos - shift
 
 
 def _substitute_entities(source: str, e1: str, e2: str) -> str:

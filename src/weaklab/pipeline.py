@@ -277,8 +277,14 @@ def refit(config: RunConfig, dataset: Dataset, train_matrix: np.ndarray, valid_a
     A caller that only added columns since the fit that gave `warm` passes
     it to warm-start Dawid-Skene from those posteriors (the vote models
     ignore it). The classifier warm-starts from `previous` and is None when
-    no row resolves to a training label. Returns (problabels, model).
+    no row resolves to a training label. When `problabels` is passed back,
+    `previous` must be the model fit from them; if that fit converged it is
+    returned as is, since a warm start would train on the same rows and
+    labels, stop before its first step and copy the weights. Returns
+    (problabels, model).
     """
+    if problabels is not None and previous is not None and previous.converged:
+        return problabels, previous
     if problabels is None:
         problabels = _fit_label_model(config, dataset, train_matrix, valid_accuracies, warm)
     rows, labels = aggregate.resolve_training_labels(problabels, dataset)

@@ -156,15 +156,17 @@ class MockOracleConfig:
 def mock_oracle_respond(config: MockOracleConfig, instance, task_kind: str, cot: bool,
                         draw_index: int = 0) -> str:
     """One synthetic response, deterministic given (seed, query id, draw index)."""
+    return _draw_response(config, _analyse_passage(config, instance), task_kind, cot,
+                          draw_index)
+
+
+def _analyse_passage(config: MockOracleConfig, instance):
+    """What every draw for the query reads: its id, its gold label, the
+    passage n-grams carrying one of the gold class's signatures and the
+    pool of hallucinated payloads."""
     if instance.id not in config.gold:
         raise ValueError("query id %d unknown to the mock oracle" % instance.id)
-    rng = random.Random(_stable_seed(config.seed, instance.id, draw_index))
     gold = config.gold[instance.id]
-    n_classes = len(config.classes)
-    if rng.random() < config.p_label:
-        label = gold
-    else:
-        label = rng.choice([c for c in range(n_classes) if c != gold])
     grams = extract_ngrams(tokenize(instance.text), 1, 3)
     gram_set = set(grams)
     all_signatures = {s for sigs in config.signatures.values() for s in sigs}
@@ -180,6 +182,18 @@ def mock_oracle_respond(config: MockOracleConfig, instance, task_kind: str, cot:
                                             for s in all_signatures if s in gram_set)]
     if not non_sigs:
         non_sigs = [g for g in grams if g not in all_signatures]
+    return instance.id, gold, sig_bearing, non_sigs
+
+
+def _draw_response(config: MockOracleConfig, analysis, task_kind: str, cot: bool,
+                   draw_index: int) -> str:
+    """`mock_oracle_respond` from the passage's `_analyse_passage`."""
+    instance_id, gold, sig_bearing, non_sigs = analysis
+    rng = random.Random(_stable_seed(config.seed, instance_id, draw_index))
+    if rng.random() < config.p_label:
+        label = gold
+    else:
+        label = rng.choice([c for c in range(len(config.classes)) if c != gold])
     lo, hi = config.payloads_per_response
     payloads = []
     for _ in range(rng.randint(lo, hi)):
@@ -250,7 +264,8 @@ class MockBackend:
         cot = "REASONING" in request.messages[0].content
         if given_label is not None:
             return [self._annotate(instance, given_label)] * request.n
-        return [mock_oracle_respond(self.config, instance, self.task_kind, cot, draw_index=i)
+        analysis = _analyse_passage(self.config, instance)  # once for all n draws
+        return [_draw_response(self.config, analysis, self.task_kind, cot, i)
                 for i in range(request.n)]
 
     def _annotate(self, instance, label_name) -> str:

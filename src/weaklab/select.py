@@ -80,6 +80,14 @@ def expected_utility(candidates) -> float:
     return sum((a / total) * (a * ncov) for a, ncov in candidates)
 
 
+def _row_sum(table: np.ndarray) -> np.ndarray:
+    """The sum of a table's rows, added first to last."""
+    total = np.zeros(table.shape[1])
+    for row in table:
+        total += row
+    return total
+
+
 def seu_sampler(state: SelectionState, index: KeywordIndex, labels, uncovered, accuracy,
                 pool_cap: Optional[int] = None, rng=None, prior: float = 0.5) -> int:
     """Pick the pool row whose candidate LFs have maximal expected utility;
@@ -91,11 +99,14 @@ def seu_sampler(state: SelectionState, index: KeywordIndex, labels, uncovered, a
     row's label, with the accuracy `accuracy` gives that (gram, label) or
     `prior`, and covering the uncovered rows that hold the gram. The score
     is `expected_utility` of the candidates, computed for the whole pool at
-    once: sums run over the grams in `extract_ngrams` order, one column of
-    `index.padded_ids` at a time, so every score equals Python's
-    left-to-right `sum` bit for bit, and no pool × grams float matrix is
-    held. A pool longer than `pool_cap` is cut to its first `pool_cap` rows,
-    or with `rng` to a sample of that many, kept in pool order.
+    once from tables of accuracies and utility terms gathered through
+    `index.padded_ids`: a row per gram position of the split's longest row
+    and a column per pool row (0.2 MB each for 350 rows of at most 75
+    grams, not pool × all grams). Sums add the table rows first to last,
+    in `extract_ngrams` order, so every score equals Python's left-to-right
+    `sum` bit for bit. A pool longer than `pool_cap` is cut to its first
+    `pool_cap` rows, or with `rng` to a sample of that many, kept in pool
+    order.
     """
     if not state.pool:
         raise PoolExhausted("selection pool is empty")
@@ -118,16 +129,11 @@ def seu_sampler(state: SelectionState, index: KeywordIndex, labels, uncovered, a
         if gram_id is not None and 0 <= label < n_labels:
             table[label, gram_id] = acc
 
-    total = np.zeros(len(pool))
-    for column in index.padded_ids.T:
-        total += table[labels, column[rows]]
+    grams = index.padded_ids.T[:, rows].astype(np.intp)  # gram position × pool
+    acc = table.ravel()[labels * (pad + 1) + grams]  # table[labels, grams], gathered flat
+    total = _row_sum(acc)
     positive = total > 0
-    divisor = np.where(positive, total, 1.0)
-    utility = np.zeros(len(pool))
-    for column in index.padded_ids.T:
-        grams = column[rows]
-        acc = table[labels, grams]
-        utility += (acc / divisor) * (acc * cover[grams])
+    utility = _row_sum((acc / np.where(positive, total, 1.0)) * (acc * cover[grams]))
     scores = np.where(positive, utility, 0.0).tolist()
 
     best = 0

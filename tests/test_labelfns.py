@@ -108,6 +108,19 @@ class TestCompile:
         with pytest.raises(LFError, match="placeholder"):
             pat(template)
 
+    # the position is the template's, which marks its placeholders as groups
+    # with longer names before parsing it
+    @pytest.mark.parametrize("template, message", [
+        ("{{E1}} (ab {{E2}}", "missing ), unterminated subpattern at position 7"),
+        ("{{E1}} [[a] {{E2}}", "Possible nested set at position 8"),
+        ("{{E1}}{{E2}} a)", "unbalanced parenthesis at position 14"),
+        ("(?x)\n{{E1}} (ab\n {{E2}}", "at position 12 (line 2, column 8)"),
+    ])
+    def test_parse_errors_name_the_position_in_the_template(self, template, message):
+        with pytest.raises(LFError) as caught:
+            pat(template)
+        assert str(caught.value).endswith(message)
+
     def test_placeholder_after_escaped_backslash_accepted(self):
         lf = pat(r"\\{{E1}}ab {{E2}}")
         assert apply_lf(lf, rel_instance(r"\1ab 2", "1", "2")) == 1

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from weaklab import aggregate, labelfns, pipeline, plmclient, select
+from weaklab import aggregate, downstream, labelfns, pipeline, plmclient, select
 from weaklab.corpus import Dataset, EntitySpan, Instance, RELATION_TASK, TEXT_TASK, load_dataset
 from weaklab.labelfns import ABSTAIN, KEYWORD
 from weaklab.pipeline import (
@@ -220,9 +220,10 @@ class TestRun:
         assert report.complete and report.metrics["test_score"] is not None
 
 
-def _count_calls(monkeypatch, module, name):
-    """Replace module.name with a wrapper that records each call."""
-    calls = []
+def _count_calls(monkeypatch, module, name, calls=None):
+    """Replace module.name with a wrapper that records each call, in `calls`
+    when given."""
+    calls = [] if calls is None else calls
     original = getattr(module, name)
 
     def counted(*args, **kwargs):
@@ -259,6 +260,41 @@ class TestIterationCost:
         monkeypatch.setattr(pipeline, "refit",
                             lambda *args, problabels=None, **kwargs: original(*args, **kwargs))
         assert run(config).to_json() == reused
+
+    # 150 steps: every fit converges; 2 steps: every fit is capped
+    @pytest.mark.parametrize("max_opt_iters", [150, 2])
+    @pytest.mark.parametrize("label_model, fit", [("dawid_skene", "dawid_skene_em"),
+                                                  ("weighted", "weighted_vote")])
+    def test_classifier_retrains_only_after_a_fit_or_a_capped_fit(self, corpus_paths, monkeypatch,
+                                                                  label_model, fit,
+                                                                  max_opt_iters):
+        config = _config(corpus_paths, label_model=label_model,
+                         **{**self.DEGRADED, "max_opt_iters": max_opt_iters})
+        with monkeypatch.context() as patch:
+            calls = _count_calls(patch, select, "uncertainty_sampler")
+            _count_calls(patch, aggregate, fit, calls)
+            _count_calls(patch, downstream, "train_logreg", calls)
+            report = run(config)
+        iterations = []  # the calls each iteration makes from its pick on
+        for name in calls:
+            if name == "uncertainty_sampler":
+                iterations.append(set())
+            else:
+                iterations[-1].add(name)
+        assert len(iterations) == len(report.iterations)
+        fitted = [fit in names for names in iterations]
+        trained = ["train_logreg" in names for names in iterations]
+        first = fitted.index(True)
+        assert not all(fitted[first:])  # an idle iteration after the first fit
+        if max_opt_iters == 2:
+            assert trained == [t >= first for t in range(len(iterations))]
+        else:
+            assert trained == fitted
+
+        original = pipeline.refit
+        monkeypatch.setattr(pipeline, "refit",
+                            lambda *args, problabels=None, **kwargs: original(*args, **kwargs))
+        assert run(config).to_json() == report.to_json()
 
     def test_each_fit_warm_starts_from_the_last(self, corpus_paths, monkeypatch):
         calls = []

@@ -140,6 +140,20 @@ class TestMockBackend:
         with pytest.raises(BackendError, match="identify"):
             self._backend().complete(_request("PASSAGE: never seen before"))
 
+    @pytest.mark.parametrize("task_kind", [TEXT_TASK, RELATION_TASK])
+    @pytest.mark.parametrize("cot", [False, True])
+    def test_n_draws_equal_the_per_draw_responses(self, task_kind, cot):
+        config = _oracle_config(p_label=0.5, p_keyword=0.5)
+        inst = Instance(id=0, text="get free stuff today, not a great song", gold_label=1)
+        backend = MockBackend(config, [inst], task_kind)
+        system = "Give REASONING, then the label." if cot else "Classify."
+        request = CompletionRequest(messages=[ChatMessage("system", system),
+                                              ChatMessage("user", "PASSAGE: " + inst.text)],
+                                    temperature=1.0, n=10)
+        want = [mock_oracle_respond(config, inst, task_kind, cot, draw_index=i) for i in range(10)]
+        assert len(set(want)) > 1
+        assert backend.complete(request) == want
+
 
 class TestTranscript:
     def test_round_trip(self, tmp_path):

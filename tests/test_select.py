@@ -1,10 +1,13 @@
+import functools
 import math
+import operator
 import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from weaklab import select
 from weaklab.corpus import Instance, extract_ngrams, tokenize
 from weaklab.downstream import LinearModel, predict_proba
 from weaklab.labelfns import KeywordIndex
@@ -266,13 +269,19 @@ _ACCURACIES = st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.6, 2 / 3, 0.7, 0.9, 1.0])
 
 
 @st.composite
-def seu_cases(draw):
+def seu_cases(draw, uneven=False):
     """Train rows with unique ids in drawn order, and the pool as the rows in
-    id order, as `pipeline.run` builds it."""
+    id order, as `pipeline.run` builds it. With `uneven`, one row has 20-40
+    tokens and the others at most two, so the sampler's gram position × pool
+    tables are mostly padding."""
     n_classes = draw(st.sampled_from([2, 3]))
     ids = draw(st.lists(st.integers(0, 60), min_size=1, max_size=12, unique=True))
+    sizes = [(0, 6)] * len(ids)
+    if uneven:
+        sizes = [(0, 2)] * len(ids)
+        sizes[draw(st.integers(0, len(ids) - 1))] = (20, 40)
     texts = [draw(st.sampled_from(_SEPARATORS)).join(
-        draw(st.lists(st.sampled_from(_TOKENS), max_size=6))) for _ in ids]
+        draw(st.lists(st.sampled_from(_TOKENS), min_size=lo, max_size=hi))) for lo, hi in sizes]
     if len(ids) > 1 and draw(st.booleans()):
         texts[-1] = texts[0]
     train = [Instance(id=iid, text=text) for iid, text in zip(ids, texts)]
@@ -288,10 +297,29 @@ def seu_cases(draw):
     return train, labels, uncovered, accuracy, prior, pool_cap, draw(st.integers(0, 10)), pool
 
 
+# SEU adds a row's terms in gram order, as `expected_utility`'s `sum` does;
+# numpy's `sum(axis=0)` pairs the terms of a single column up instead
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.floats(0, 1e6), min_size=n, max_size=n), min_size=1, max_size=80)))
+def test_row_sum_adds_the_rows_in_order(rows):
+    want = [functools.reduce(operator.add, column, 0.0) for column in zip(*rows)]
+    assert select._row_sum(np.array(rows)).tolist() == want
+
+
 class TestSeuMatchesPerRowScan:
     @settings(max_examples=300, deadline=None)
     @given(seu_cases())
     def test_every_pick_of_a_drained_pool(self, case):
+        self._drain(case)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seu_cases(uneven=True))
+    def test_every_pick_with_rows_of_very_uneven_length(self, case):
+        self._drain(case)
+
+    @staticmethod
+    def _drain(case):
         train, labels, uncovered, accuracy, prior, pool_cap, seed, pool = case
         index = KeywordIndex(train)
         want_state, got_state = SelectionState(pool=list(pool)), SelectionState(pool=list(pool))
