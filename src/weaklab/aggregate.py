@@ -14,6 +14,7 @@ whole signal lives in who fires on what.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Optional
 
@@ -248,6 +249,15 @@ class DawidSkeneResult:
     converged: bool  # False when the fit stopped at em_max_iters
 
 
+def _uniform(rng: random.Random, shape) -> np.ndarray:
+    """Doubles uniform on [0, 1), 53 random bits each, drawn from the stdlib
+    generator: numpy.random would load about 6 MB of modules for a few
+    restart inits."""
+    n = int(np.prod(shape))
+    bits = np.frombuffer(rng.randbytes(8 * n), dtype="<u8") >> np.uint64(11)
+    return (bits * 2.0 ** -53).reshape(shape)
+
+
 def dawid_skene_em(entries: np.ndarray, n_classes: int, kind: Optional[LabelModelKind] = None,
                    *, warm: Optional[ProbLabels] = None) -> DawidSkeneResult:
     """Abstain-aware Dawid-Skene EM.
@@ -255,7 +265,10 @@ def dawid_skene_em(entries: np.ndarray, n_classes: int, kind: Optional[LabelMode
     A cold fit is initialized from majority-vote posteriors; em_restarts
     deterministic perturbed restarts guard against symmetric fixed points,
     and the run with the best penalized log-likelihood wins (ties go to the
-    plain majority-vote init).
+    plain majority-vote init). Each restart adds noise uniform on [0, 0.2)
+    to the majority-vote rows and renormalizes them; the noise comes from
+    one stdlib `random.Random(12345)` per cold fit, drawn restart by
+    restart.
 
     `warm` holds the posteriors of an earlier fit over the same rows, e.g.
     before the newest vote columns were added. A warm fit is one EM run and
@@ -290,12 +303,11 @@ def dawid_skene_em(entries: np.ndarray, n_classes: int, kind: Optional[LabelMode
         best = _em_run(design, init, kind)
     else:
         best = None
-        rng = np.random.default_rng(12345)
+        rng = random.Random(12345)
         for r in range(kind.em_restarts + 1):
             init = mv.probs[covered].copy()
             if r > 0:
-                noise = rng.uniform(0.0, 0.2, size=init.shape)
-                init = init + noise
+                init = init + 0.2 * _uniform(rng, init.shape)
                 init /= init.sum(axis=1, keepdims=True)
             result = _em_run(design, init, kind)
             if best is None or result[4][-1] > best[4][-1] + 1e-9:

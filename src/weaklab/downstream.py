@@ -210,7 +210,8 @@ def binary_f1(y_true, y_pred, positive_class: int) -> float:
 
 
 # Rows featurized and scored at a time when `evaluate` builds its own
-# features, so a split never needs its whole dense matrix at once.
+# features, so a split never needs its whole dense matrix at once. Each
+# block is dropped before the next is built: one block is live at a time.
 EVAL_BLOCK = 256
 
 
@@ -219,17 +220,22 @@ def evaluate(model: LinearModel, space: Optional[FeatureSpace], split, metric: s
     """Score the model on a gold-labeled split with accuracy or binary F1.
 
     Without `features` the split is featurized and predicted EVAL_BLOCK rows
-    at a time; the predictions equal those from one matrix of every row.
+    at a time; the predictions equal those from one matrix of every row. An
+    empty split has no score and raises ValueError.
     """
     instances = list(split)
+    if not instances:
+        raise ValueError("cannot score an empty split")
     y_true = np.array([inst.gold_label for inst in instances])
     if features is not None:
         y_pred = predict_proba(model, features).argmax(axis=1)
     else:
         y_pred = np.zeros(len(instances), dtype=np.int64)
         for start in range(0, len(instances), EVAL_BLOCK):
-            block = featurize_all(space, [inst.text for inst in instances[start:start + EVAL_BLOCK]])
-            y_pred[start:start + len(block)] = predict_proba(model, block).argmax(axis=1)
+            texts = [inst.text for inst in instances[start:start + EVAL_BLOCK]]
+            # the block is a temporary, freed before the next one is built
+            y_pred[start:start + len(texts)] = predict_proba(
+                model, featurize_all(space, texts)).argmax(axis=1)
     if metric == "accuracy":
         return accuracy_score(y_true, y_pred)
     if metric == "binary_f1":

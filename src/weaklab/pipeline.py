@@ -191,11 +191,9 @@ def compute_metrics(dataset: Dataset, lfs, train_matrix: np.ndarray,
     if model is not None:
         if positive_class is not None and dataset.n_classes == 2:
             test_metric = "binary_f1"
-            test_score = downstream.evaluate(model, space, dataset.test, "binary_f1",
+        if len(dataset.test):  # an empty test split has no score
+            test_score = downstream.evaluate(model, space, dataset.test, test_metric,
                                              positive_class=positive_class,
-                                             features=test_features)
-        else:
-            test_score = downstream.evaluate(model, space, dataset.test, "accuracy",
                                              features=test_features)
     return {
         "plm_acc": plm_acc,
@@ -297,7 +295,9 @@ def refit(config: RunConfig, dataset: Dataset, train_matrix: np.ndarray, valid_a
         Y[covered] = problabels.probs[rows][covered]
     else:
         Y = labels
-    model = downstream.train_logreg(X_train[rows], Y, n_classes, l2=config.l2,
+    # rows ascend, so when every row resolves X_train[rows] would be a copy of X_train
+    features = X_train if len(rows) == len(X_train) else X_train[rows]
+    model = downstream.train_logreg(features, Y, n_classes, l2=config.l2,
                                     max_iters=config.max_opt_iters, grad_tol=config.grad_tol,
                                     init=previous)
     return problabels, model
@@ -315,6 +315,9 @@ def run(config: RunConfig, backend=None, dataset: Optional[Dataset] = None) -> R
     if dataset is None:
         dataset = corpus.load_dataset(config.train_path, config.valid_path,
                                       config.test_path, config.schema_path)
+    if not dataset.train:
+        raise ValueError("the train split is empty: the loop has no instance to query "
+                         "and no row to train on")
     spec = prompting.PromptSpec(method=config.prompt_method, n_responses=config.n_responses,
                                 ic_mode=config.ic_mode, k_per_class=config.k_per_class,
                                 k_total=config.k_total, temperature=config.temperature)
@@ -422,6 +425,7 @@ def run(config: RunConfig, backend=None, dataset: Optional[Dataset] = None) -> R
     if complete_run and (config.lazy_retrain or problabels is None):
         problabels, model = refit(config, dataset, gate.train_matrix(),
                                   gate.valid_accuracies, X_train, model)
+    del X_train  # the metric suite builds its own test blocks; hold one dense block at a time
 
     metrics = compute_metrics(dataset, gate.admitted, gate.train_matrix(), problabels,
                               model, space, records, positive_class)

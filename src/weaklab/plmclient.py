@@ -7,13 +7,22 @@ without network access.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import random
 import time
 from dataclasses import dataclass, field
 from typing import Optional
+
+# sha256 from the interpreter's builtin module: hashlib would load OpenSSL's
+# libcrypto (about 3.5 MB resident) for the same digest
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .corpus import RELATION_TASK, extract_ngrams, tokenize
 from .prompting import ChatMessage, render_response
@@ -78,7 +87,7 @@ def request_hash(request: CompletionRequest) -> str:
         sort_keys=True,
         separators=(",", ":"),
     )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return sha256(canonical.encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -131,7 +140,7 @@ def load_transcript(path) -> Transcript:
 
 
 def _stable_seed(*parts) -> int:
-    digest = hashlib.sha256("|".join(str(p) for p in parts).encode("utf-8")).digest()
+    digest = sha256("|".join(str(p) for p in parts).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
 

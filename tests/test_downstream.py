@@ -351,7 +351,7 @@ class TestMetrics:
         assert evaluate(model, space, split, "accuracy") == 1.0
         assert evaluate(model, space, split, "binary_f1", positive_class=1) == 1.0
 
-    @pytest.mark.parametrize("n_test", [0, 1, EVAL_BLOCK - 1, EVAL_BLOCK, EVAL_BLOCK + 1, 1000])
+    @pytest.mark.parametrize("n_test", [1, EVAL_BLOCK - 1, EVAL_BLOCK, EVAL_BLOCK + 1, 1000])
     def test_evaluate_in_blocks_equals_one_matrix(self, monkeypatch, n_test):
         rng = np.random.default_rng(n_test)
         vocab = ["w%d" % k for k in range(60)]
@@ -375,6 +375,15 @@ class TestMetrics:
         evaluate(model, space, split, "accuracy")
         assert predicted[0].tolist() == want.tolist()
         assert max(block_rows, default=0) <= EVAL_BLOCK and sum(block_rows) == n_test
+
+    @pytest.mark.parametrize("given_features", [False, True])
+    def test_evaluate_rejects_an_empty_split(self, given_features):
+        # the mean of no predictions would be NaN, which is not a score
+        model = LinearModel(weights=np.zeros((2, 1)), bias=np.zeros(2), l2=0.0)
+        space = fit_tfidf(["a"])
+        features = np.zeros((0, 1)) if given_features else None
+        with pytest.raises(ValueError, match="empty split"):
+            evaluate(model, space, [], "accuracy", features=features)
 
     def test_evaluate_unknown_metric(self):
         model = LinearModel(weights=np.zeros((2, 1)), bias=np.zeros(2), l2=0.0)

@@ -1,5 +1,9 @@
 import json
 import os
+import subprocess
+import sys
+import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -218,6 +222,64 @@ class TestRun:
     def test_soft_labels_variant(self, corpus_paths):
         report = run(_config(corpus_paths, soft_labels=True))
         assert report.complete and report.metrics["test_score"] is not None
+
+
+class TestEmptySplits:
+    def _config(self, tmp_path, n_train, n_test):
+        dataset, signatures, annotations = generate_synthetic(n_train, 30, n_test, seed=0)
+        paths = write_synthetic(str(tmp_path), dataset, signatures, annotations)
+        return RunConfig.from_dict({
+            **{k: paths[k] for k in ("train_path", "valid_path", "test_path", "schema_path",
+                                     "annotations_path")},
+            "mock_signatures": signatures, "n_iterations": 3, "max_opt_iters": 150,
+            "grad_tol": 1e-4})
+
+    def test_empty_test_split_reports_no_score(self, tmp_path):
+        def reject(constant):
+            raise ValueError("report holds %s, which is not JSON" % constant)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no mean-of-empty-slice RuntimeWarning
+            report = run(self._config(tmp_path, 60, 0))
+        assert report.metrics["lf_num"] >= 1  # a classifier was trained
+        assert report.metrics["test_score"] is None
+        assert json.loads(report.to_json(), parse_constant=reject)["metrics"]["test_score"] \
+            is None
+        assert render_report_table(report.metrics).splitlines()[-1].split() == ["Test_acc", "--"]
+
+    def test_empty_train_split_rejected_before_the_loop(self, tmp_path):
+        with pytest.raises(ValueError, match="train split is empty"):
+            run(self._config(tmp_path, 0, 30))
+
+
+def test_run_loads_neither_openssl_nor_numpy_random(tmp_path):
+    """A mock run with a cold Dawid-Skene fit (restarts drawn) and the
+    uncertainty sampler never imports hashlib's OpenSSL module or
+    numpy.random. The test suite itself imports numpy.random, so the run is
+    made in a fresh interpreter."""
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(pipeline.__file__)))
+    script = textwrap.dedent("""
+        import sys
+        sys.path.insert(0, %r)
+        import weaklab
+        from weaklab.pipeline import RunConfig, generate_synthetic, run, write_synthetic
+
+        dataset, signatures, annotations = generate_synthetic(60, 30, 30, seed=0)
+        paths = write_synthetic(%r, dataset, signatures, annotations)
+        config = RunConfig.from_dict({
+            **{k: paths[k] for k in ("train_path", "valid_path", "test_path", "schema_path",
+                                     "annotations_path")},
+            "mock_signatures": signatures, "n_iterations": 3, "label_model": "dawid_skene",
+            "em_restarts": 3, "sampler": "uncertainty"})
+        report = run(config)
+        assert report.metrics["lf_num"] >= 1, "no label-model fit was made"
+        print(" ".join(sorted(name for name in ("_hashlib", "numpy.random", "secrets")
+                              if name in sys.modules)))
+    """) % (package_root, str(tmp_path))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == []
 
 
 def _count_calls(monkeypatch, module, name, calls=None):

@@ -1,7 +1,10 @@
+import hashlib
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
+from weaklab import plmclient
 from weaklab.corpus import Instance, TEXT_TASK, RELATION_TASK
 from weaklab.plmclient import (
     BackendError,
@@ -60,6 +63,33 @@ class TestRequest:
         b.model_name = "other-model"
         b.max_tokens = 9
         assert request_hash(a) == request_hash(b)
+
+    def test_hash_of_a_fixed_request_is_pinned(self):
+        # transcripts store this hash, so it must never move
+        request = CompletionRequest(
+            messages=[ChatMessage("system", "Classify."),
+                      ChatMessage("user", "PASSAGE: caf\u00e9 \u2014 na\u00efve \u6771\u4eac")],
+            temperature=0.7, n=3)
+        assert request_hash(request) == (
+            "a0f67675ced54ab7db00f017a4d88cb33bc9f178ae118f569a2c4881b81fd294")
+        assert plmclient._stable_seed(0, 17, 2) == 15210598042336150413
+
+    @given(st.text(min_size=1), st.text(min_size=1), st.integers(1, 5))
+    def test_hash_equals_hashlib_sha256(self, system, user, n):
+        request = CompletionRequest(
+            messages=[ChatMessage("system", system), ChatMessage("user", user)], n=n)
+        canonical = json.dumps(
+            {"messages": [{"role": "system", "content": system},
+                          {"role": "user", "content": user}],
+             "temperature": 0.0, "n": n},
+            sort_keys=True, separators=(",", ":"))
+        assert request_hash(request) == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+    @given(st.lists(st.one_of(st.text(), st.integers()), max_size=4))
+    def test_stable_seed_equals_hashlib_sha256(self, parts):
+        joined = "|".join(str(p) for p in parts).encode("utf-8")
+        expected = int.from_bytes(hashlib.sha256(joined).digest()[:8], "big")
+        assert plmclient._stable_seed(*parts) == expected
 
 
 def _oracle_config(**overrides):
