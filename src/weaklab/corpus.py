@@ -99,8 +99,6 @@ def _parse_entity(obj, text, line_no, which):
 
 
 def _parse_instance(record, n_classes, task_kind, line_no, require_gold):
-    if not isinstance(record, dict):
-        raise LoadError("line %d: record is not an object" % line_no)
     if "id" not in record or not isinstance(record["id"], int):
         raise LoadError("line %d: missing or non-integer id" % line_no)
     if "text" not in record or not isinstance(record["text"], str):
@@ -129,16 +127,25 @@ def _parse_instance(record, n_classes, task_kind, line_no, require_gold):
     )
 
 
-def _read_jsonl(path):
+def read_jsonl(path, error=LoadError):
+    """Yield (line number, object) for each non-blank line of a JSONL file.
+
+    A line that is not valid JSON, or whose JSON is not an object, raises
+    `error` naming the line. Callers raise the same `error`, with the line
+    number, for an object they cannot use.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                yield line_no, json.loads(line)
+                record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise LoadError("line %d of %s: invalid JSON (%s)" % (line_no, path, exc))
+                raise error("line %d of %s: invalid JSON (%s)" % (line_no, path, exc))
+            if not isinstance(record, dict):
+                raise error("line %d of %s: not a JSON object" % (line_no, path))
+            yield line_no, record
 
 
 def load_schema(schema_path):
@@ -167,7 +174,7 @@ def load_schema(schema_path):
 def _load_split(path, n_classes, task_kind, require_gold):
     instances = []
     seen_ids = set()
-    for line_no, record in _read_jsonl(path):
+    for line_no, record in read_jsonl(path):
         inst = _parse_instance(record, n_classes, task_kind, line_no, require_gold)
         if inst.id in seen_ids:
             raise LoadError("line %d: duplicate id %d" % (line_no, inst.id))
@@ -245,7 +252,7 @@ def load_embeddings(path, dataset: Dataset, splits=("train", "valid")) -> Embedd
     required_set = set(required)
     rows = {}
     dim = None
-    for line_no, record in _read_jsonl(path):
+    for line_no, record in read_jsonl(path):
         iid = record.get("id")
         vec = record.get("vector")
         if not isinstance(iid, int) or not isinstance(vec, list):

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .corpus import RELATION_TASK, TEXT_TASK, Instance, extract_ngrams, tokenize
+from .corpus import RELATION_TASK, TEXT_TASK, Instance, extract_ngrams, read_jsonl, tokenize
 
 try:  # the sre modules moved under re in 3.11
     from re import _constants as sre_constants
@@ -349,6 +349,8 @@ def lf_from_record(record, classes, task_kind) -> LabelFunction:
         query_id=record.get("query_id", -1),
         response_index=record.get("response_index", -1),
     )
+    if not isinstance(record["payload"], str):
+        raise LFError("payload %r is not a string" % (record["payload"],))
     return compile_lf(record["kind"], record["payload"], record["class"], classes, task_kind, prov)
 
 
@@ -360,15 +362,12 @@ def save_lfs(lfs, path):
 
 
 def load_lfs(path, classes, task_kind):
+    """The LFs of a JSONL file written by `save_lfs`; a line that is not an
+    LF record, or whose LF is invalid, raises LFError naming the line."""
     lfs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                lfs.append(lf_from_record(record, classes, task_kind))
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise LFError("line %d: bad LF record (%s)" % (line_no, exc))
+    for line_no, record in read_jsonl(path, LFError):
+        try:
+            lfs.append(lf_from_record(record, classes, task_kind))
+        except (KeyError, LFError) as exc:
+            raise LFError("line %d of %s: bad LF record (%s)" % (line_no, path, exc))
     return lfs

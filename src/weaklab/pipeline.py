@@ -209,13 +209,10 @@ def compute_metrics(dataset: Dataset, lfs, train_matrix: np.ndarray,
 
 def _load_annotations(path) -> dict:
     annotations = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            annotations[obj["id"]] = obj
+    for line_no, obj in corpus.read_jsonl(path):
+        if "id" not in obj:
+            raise corpus.LoadError("line %d of %s: annotation without an id" % (line_no, path))
+        annotations[obj["id"]] = obj
     return annotations
 
 

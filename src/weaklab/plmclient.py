@@ -24,7 +24,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .corpus import RELATION_TASK, extract_ngrams, tokenize
+from .corpus import RELATION_TASK, extract_ngrams, read_jsonl, tokenize
 from .prompting import ChatMessage, render_response
 
 
@@ -120,18 +120,14 @@ def save_transcript(transcript: Transcript, path):
 
 def load_transcript(path) -> Transcript:
     transcript = Transcript()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                transcript.append(TranscriptRecord(
-                    hash=obj["hash"], request=obj["request"], responses=obj["responses"],
-                    backend=obj.get("backend", ""), elapsed=obj.get("elapsed", 0.0)))
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise BackendError("transcript line %d is corrupt (%s)" % (line_no, exc))
+    for line_no, obj in read_jsonl(path, BackendError):
+        try:
+            transcript.append(TranscriptRecord(
+                hash=obj["hash"], request=obj["request"], responses=obj["responses"],
+                backend=obj.get("backend", ""), elapsed=obj.get("elapsed", 0.0)))
+        except KeyError as exc:
+            raise BackendError("transcript line %d of %s is corrupt (missing %s)"
+                               % (line_no, path, exc))
     return transcript
 
 
@@ -237,10 +233,13 @@ def _mock_response(label_name: str, task_kind: str, payloads, cot: bool) -> str:
 class MockBackend:
     """Deterministic offline stand-in for a hosted chat model.
 
-    The query instance is recovered from the PASSAGE line of the final user
-    message; a LABEL line in that message marks an annotation request, which
-    is answered with the given label and the planted signatures found in the
-    passage.
+    The query instance is recovered from the final user message: its
+    PASSAGE line and, for relation tasks, its ENTITY1 and ENTITY2 lines,
+    everything `prompting.render_instance` writes of an instance. A model
+    cannot tell apart instances whose renderings are identical, so the mock
+    answers all of them as the one with the lowest id. A LABEL line in that
+    message marks an annotation request, which is answered with the given
+    label and the planted signatures found in the passage.
     """
 
     name = "mock"
@@ -248,7 +247,15 @@ class MockBackend:
     def __init__(self, config: MockOracleConfig, instances, task_kind: str):
         self.config = config
         self.task_kind = task_kind
-        self._by_text = {inst.text: inst for inst in instances}
+        self._by_rendering = {}
+        for inst in sorted(instances, key=lambda inst: inst.id):
+            self._by_rendering.setdefault(self._rendering(inst), inst)
+
+    def _rendering(self, instance):
+        """The PASSAGE, ENTITY1 and ENTITY2 values a prompt shows of `instance`."""
+        if self.task_kind != RELATION_TASK or instance.entity1 is None:
+            return instance.text, None, None
+        return instance.text, instance.entity1.text, instance.entity2.text
 
     def _lookup(self, request: CompletionRequest):
         last_user = None
@@ -257,16 +264,15 @@ class MockBackend:
                 last_user = message.content
         if last_user is None:
             raise BackendError("request has no user message")
-        passage = None
-        given_label = None
+        fields = {}
         for line in last_user.splitlines():
-            if line.startswith("PASSAGE: "):
-                passage = line[len("PASSAGE: "):]
-            elif line.startswith("LABEL: "):
-                given_label = line[len("LABEL: "):]
-        if passage is None or passage not in self._by_text:
+            key, sep, value = line.partition(": ")
+            if sep and key in ("PASSAGE", "ENTITY1", "ENTITY2", "LABEL"):
+                fields[key] = value
+        rendering = (fields.get("PASSAGE"), fields.get("ENTITY1"), fields.get("ENTITY2"))
+        if rendering not in self._by_rendering:
             raise BackendError("mock backend cannot identify the query instance")
-        return self._by_text[passage], given_label
+        return self._by_rendering[rendering], fields.get("LABEL")
 
     def complete(self, request: CompletionRequest):
         instance, given_label = self._lookup(request)

@@ -31,10 +31,12 @@ def entropy(p) -> float:
 
 @dataclass
 class SelectionState:
-    """Without-replacement pool over train rows, kept in the order given."""
+    """Without-replacement pool over train rows, kept in the order given,
+    and the SEU scores `seu_sampler` last worked out (None before)."""
 
     pool: list
     queried: list = field(default_factory=list)
+    seu: Optional[SeuScores] = None
 
     def take(self, row):
         self.pool.remove(row)
@@ -52,7 +54,14 @@ def random_sampler(state: SelectionState, rng) -> int:
 def uncertainty_sampler(state: SelectionState, model, features, rng=None) -> int:
     """Pick the pool row whose `features` row has maximal predictive entropy
     under the current downstream model; ties go to the earliest in the pool.
-    Falls back to a random draw before the first model exists."""
+    Falls back to a random draw before the first model exists.
+
+    Unlike SEU's, these scores are worked out afresh on every call, even for
+    an unchanged model: `predict_proba`'s matrix product goes through BLAS,
+    whose blocking depends on how many rows are multiplied at once, so a
+    row's entropy can differ in the last bit between a full pool and a
+    smaller one. A kept score could then flip a near-tie and change a pick.
+    """
     if not state.pool:
         raise PoolExhausted("selection pool is empty")
     if model is None:
@@ -88,6 +97,53 @@ def _row_sum(table: np.ndarray) -> np.ndarray:
     return total
 
 
+class SeuScores:
+    """SEU scores of train rows under one set of inputs, and those inputs.
+
+    The inputs are `seu_sampler`'s index, labels, uncovered mask, accuracy
+    map and prior, copied so that a caller changing its own arrays in place
+    is seen as a change. From them come each gram's new coverage (`cover`,
+    0 for the padding id) and each (label, gram) accuracy (`table`, 0 for
+    the padding id). `scores` holds a score for each row `scored` marks.
+    """
+
+    def __init__(self, index: KeywordIndex, labels, uncovered, accuracy, prior: float):
+        self.index, self.accuracy, self.prior = index, dict(accuracy), float(prior)
+        self.labels, self.uncovered = np.array(labels), np.array(uncovered)
+        pad = len(index.gram_ids)  # the padding id: no gram, accuracy 0, covers nothing
+        self.cover = np.bincount(index.ids[np.repeat(self.uncovered, np.diff(index.indptr))],
+                                 minlength=pad + 1)
+        n_labels = int(self.labels.max()) + 1
+        self.table = np.full((n_labels, pad + 1), self.prior)
+        self.table[:, pad] = 0.0
+        for (gram, label), acc in self.accuracy.items():
+            gram_id = index.gram_ids.get(gram)
+            if gram_id is not None and 0 <= label < n_labels:
+                self.table[label, gram_id] = acc
+        self.scores = np.zeros(len(self.labels))
+        self.scored = np.zeros(len(self.labels), dtype=bool)
+
+    def holds(self, index, labels, uncovered, accuracy, prior) -> bool:
+        """Whether these are the inputs the scores came from."""
+        return (index is self.index and float(prior) == self.prior and accuracy == self.accuracy
+                and np.array_equal(labels, self.labels)
+                and np.array_equal(uncovered, self.uncovered))
+
+    def of(self, rows: np.ndarray) -> list:
+        """The scores of `rows`, working out those not scored yet."""
+        fresh = rows[~self.scored[rows]]
+        if len(fresh):
+            pad = len(self.index.gram_ids)
+            grams = self.index.padded_ids.T[:, fresh].astype(np.intp)  # gram position × row
+            acc = self.table.ravel()[self.labels[fresh] * (pad + 1) + grams]  # table[labels, grams]
+            total = _row_sum(acc)
+            positive = total > 0
+            utility = _row_sum((acc / np.where(positive, total, 1.0)) * (acc * self.cover[grams]))
+            self.scores[fresh] = np.where(positive, utility, 0.0)
+            self.scored[fresh] = True
+        return self.scores[rows].tolist()
+
+
 def seu_sampler(state: SelectionState, index: KeywordIndex, labels, uncovered, accuracy,
                 pool_cap: Optional[int] = None, rng=None, prior: float = 0.5) -> int:
     """Pick the pool row whose candidate LFs have maximal expected utility;
@@ -98,15 +154,23 @@ def seu_sampler(state: SelectionState, index: KeywordIndex, labels, uncovered, a
     admitted LF covers. A row's candidates are its 1-3-grams, each for the
     row's label, with the accuracy `accuracy` gives that (gram, label) or
     `prior`, and covering the uncovered rows that hold the gram. The score
-    is `expected_utility` of the candidates, computed for the whole pool at
-    once from tables of accuracies and utility terms gathered through
+    is `expected_utility` of the candidates, computed for many rows at once
+    from tables of accuracies and utility terms gathered through
     `index.padded_ids`: a row per gram position of the split's longest row
-    and a column per pool row (0.2 MB each for 350 rows of at most 75
-    grams, not pool × all grams). Sums add the table rows first to last,
+    and a column per scored row (0.2 MB each for 350 rows of at most 75
+    grams, not rows × all grams). Sums add the table rows first to last,
     in `extract_ngrams` order, so every score equals Python's left-to-right
     `sum` bit for bit. A pool longer than `pool_cap` is cut to its first
     `pool_cap` rows, or with `rng` to a sample of that many, kept in pool
     order.
+
+    Scores are kept on `state` (`SeuScores`) with the inputs they came
+    from, and reused while the next call passes equal inputs: only pool
+    rows not scored under them are scored, such as rows first drawn into a
+    capped sample. Any changed input drops every kept score. Reuse is
+    exact: a row's score is made of elementwise operations, gathers and
+    `_row_sum`'s in-order adds over that row's own column, with no BLAS
+    call, so it is the same bits whichever other rows are scored with it.
     """
     if not state.pool:
         raise PoolExhausted("selection pool is empty")
@@ -116,25 +180,9 @@ def seu_sampler(state: SelectionState, index: KeywordIndex, labels, uncovered, a
             pool = pool[:pool_cap]
         else:
             pool = [pool[k] for k in sorted(rng.sample(range(len(pool)), pool_cap))]
-    pad = len(index.gram_ids)  # the padding id: no gram, accuracy 0, covers nothing
-    cover = np.bincount(index.ids[np.repeat(uncovered, np.diff(index.indptr))], minlength=pad + 1)
-
-    rows = np.array(pool, dtype=np.int64)
-    labels = labels[rows]
-    n_labels = int(labels.max()) + 1
-    table = np.full((n_labels, pad + 1), float(prior))
-    table[:, pad] = 0.0
-    for (gram, label), acc in accuracy.items():
-        gram_id = index.gram_ids.get(gram)
-        if gram_id is not None and 0 <= label < n_labels:
-            table[label, gram_id] = acc
-
-    grams = index.padded_ids.T[:, rows].astype(np.intp)  # gram position × pool
-    acc = table.ravel()[labels * (pad + 1) + grams]  # table[labels, grams], gathered flat
-    total = _row_sum(acc)
-    positive = total > 0
-    utility = _row_sum((acc / np.where(positive, total, 1.0)) * (acc * cover[grams]))
-    scores = np.where(positive, utility, 0.0).tolist()
+    if state.seu is None or not state.seu.holds(index, labels, uncovered, accuracy, prior):
+        state.seu = SeuScores(index, labels, uncovered, accuracy, prior)
+    scores = state.seu.of(np.array(pool, dtype=np.int64))
 
     best = 0
     for k in range(1, len(pool)):

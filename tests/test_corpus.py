@@ -168,3 +168,9 @@ def test_load_embeddings_zero_vector(tmp_path, text_dataset):
     rows = [{"id": inst.id, "vector": [0.0, 0.0]} for inst in text_dataset.train]
     with pytest.raises(LoadError, match="zero vector"):
         corpus.load_embeddings(_embed_file(tmp_path, rows), text_dataset, ("train",))
+
+
+def test_load_embeddings_line_that_is_not_an_object(tmp_path, text_dataset):
+    rows = [{"id": 0, "vector": [1.0, 2.0]}, ["x"]]
+    with pytest.raises(LoadError, match="line 2 .*not a JSON object"):
+        corpus.load_embeddings(_embed_file(tmp_path, rows), text_dataset, ("train",))

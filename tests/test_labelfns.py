@@ -397,3 +397,16 @@ def test_lf_serialization_round_trip(tmp_path):
     reloaded = labelfns.load_lfs(path, CLASSES, TEXT_TASK)
     assert [(lf.payload, lf.target_class) for lf in reloaded] == \
         [("free", 1), ("my channel", 0)]
+
+
+@pytest.mark.parametrize("line, match", [
+    ('{"kind": "keyword", "payload": "a b c d", "class": 1}', r"line 2 .*ngram length 4"),
+    ('["x"]', r"line 2 .*not a JSON object"),
+    ('{"kind": "keyword"', r"line 2 .*invalid JSON"),
+    ('{"kind": "keyword", "payload": 5, "class": 1}', r"line 2 .*payload 5 is not a string"),
+])
+def test_load_lfs_names_the_bad_line(tmp_path, line, match):
+    path = tmp_path / "lfs.jsonl"
+    path.write_text('{"kind": "keyword", "payload": "free", "class": 1}\n' + line + "\n")
+    with pytest.raises(LFError, match=match):
+        labelfns.load_lfs(path, CLASSES, TEXT_TASK)

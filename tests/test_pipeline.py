@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from weaklab import aggregate, downstream, labelfns, pipeline, plmclient, select
-from weaklab.corpus import Dataset, EntitySpan, Instance, RELATION_TASK, TEXT_TASK, load_dataset
+from weaklab.corpus import (Dataset, EntitySpan, Instance, LoadError, RELATION_TASK, TEXT_TASK,
+                            load_dataset)
 from weaklab.labelfns import ABSTAIN, KEYWORD
 from weaklab.pipeline import (
     METRIC_NAMES,
@@ -97,6 +98,17 @@ class TestSyntheticCorpus:
             generate_synthetic(5, 5, 5, n_classes=1)
         with pytest.raises(ValueError):
             generate_synthetic(5, 5, 5, q=0.0)
+
+    @pytest.mark.parametrize("line, match", [
+        ('["x"]', r"line 2 .*not a JSON object"),
+        ('{"keywords": ["free"]}', r"line 2 .*without an id"),
+        ('{"id": 3', r"line 2 .*invalid JSON"),
+    ])
+    def test_bad_annotation_line_is_named(self, tmp_path, line, match):
+        path = tmp_path / "annotations.jsonl"
+        path.write_text('{"id": 1, "keywords": ["free"]}\n' + line + "\n")
+        with pytest.raises(LoadError, match=match):
+            pipeline._load_annotations(path)
 
     def test_write_synthetic_round_trips(self, corpus_paths):
         dataset = load_dataset(corpus_paths["train_path"], corpus_paths["valid_path"],

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from weaklab import plmclient
-from weaklab.corpus import Instance, TEXT_TASK, RELATION_TASK
+from weaklab.corpus import EntitySpan, Instance, TEXT_TASK, RELATION_TASK
 from weaklab.plmclient import (
     BackendError,
     ChatMessage,
@@ -26,7 +26,7 @@ from weaklab.plmclient import (
     request_to_dict,
     save_transcript,
 )
-from weaklab.prompting import parse_response
+from weaklab.prompting import parse_response, render_instance
 
 
 def _request(text="PASSAGE: free stuff", n=1, temperature=0.0):
@@ -170,6 +170,33 @@ class TestMockBackend:
         with pytest.raises(BackendError, match="identify"):
             self._backend().complete(_request("PASSAGE: never seen before"))
 
+    def test_identical_passages_are_answered_as_the_lowest_id(self):
+        # instances 1 (SPAM) and 2 (HAM) share a text; the mock answers as id 1
+        instances = [Instance(id=1, text="free stuff or a great song", gold_label=1),
+                     Instance(id=2, text="free stuff or a great song", gold_label=0)]
+        backend = MockBackend(_oracle_config(gold={1: 1, 2: 0}), instances, TEXT_TASK)
+        request = _request(render_instance(instances[1], TEXT_TASK))
+        assert backend.complete(request) == [
+            mock_oracle_respond(backend.config, instances[0], TEXT_TASK, cot=False)]
+        assert parse_response(backend.complete(request)[0], TEXT_TASK,
+                              backend.config.classes).label == 1
+
+    def test_relation_passage_is_answered_for_its_entity_pair(self):
+        text = "alice married bob while carol met dave"
+        pairs = [("alice", "bob"), ("carol", "dave")]
+        instances = [Instance(id=row, text=text, gold_label=1 - row,
+                              entity1=EntitySpan(e1, text.index(e1), text.index(e1) + len(e1)),
+                              entity2=EntitySpan(e2, text.index(e2), text.index(e2) + len(e2)))
+                     for row, (e1, e2) in enumerate(pairs)]
+        config = MockOracleConfig(gold={0: 1, 1: 0}, signatures={0: ["met"], 1: ["married"]},
+                                  classes=["NONE", "SPOUSE"], p_label=1.0, p_keyword=1.0)
+        backend = MockBackend(config, instances, RELATION_TASK)
+        for inst in instances:
+            responses = backend.complete(_request(render_instance(inst, RELATION_TASK)))
+            assert responses == [mock_oracle_respond(config, inst, RELATION_TASK, cot=False)]
+            assert parse_response(responses[0], RELATION_TASK, config.classes).label == \
+                inst.gold_label
+
     @pytest.mark.parametrize("task_kind", [TEXT_TASK, RELATION_TASK])
     @pytest.mark.parametrize("cot", [False, True])
     def test_n_draws_equal_the_per_draw_responses(self, task_kind, cot):
@@ -203,6 +230,16 @@ class TestTranscript:
         path = tmp_path / "t.jsonl"
         path.write_text('{"hash": "a", "request": {}, "responses": []}\nnot json\n')
         with pytest.raises(BackendError, match="line 2"):
+            load_transcript(path)
+
+    @pytest.mark.parametrize("line, match", [
+        ('["x"]', r"line 2 .*not a JSON object"),
+        ('{"hash": "b", "request": {}}', r"line 2 .*missing 'responses'"),
+    ])
+    def test_record_that_is_no_transcript_entry_names_the_line(self, tmp_path, line, match):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"hash": "a", "request": {}, "responses": []}\n' + line + "\n")
+        with pytest.raises(BackendError, match=match):
             load_transcript(path)
 
 

@@ -341,3 +341,81 @@ class TestSeuMatchesPerRowScan:
         picks = [seu_sampler(state, KeywordIndex(train), labels, uncovered,
                              {("beta gamma", 1): 0.9}) for _ in range(4)]
         assert [train[row].id for row in picks] == [2, 9, 5, 4]
+
+
+def _random_seu_inputs(seed, n=60, n_classes=3):
+    """A seeded train index with repeated grams, each row's label, an
+    uncovered mask and an accuracy map over grams the rows hold."""
+    rng = random.Random(seed)
+    words = ["w%d" % k for k in range(15)]
+    index = _index(*[" ".join(rng.choices(words, k=rng.randint(1, 8))) for _ in range(n)])
+    labels = np.array([rng.randrange(n_classes) for _ in range(n)], dtype=np.int64)
+    uncovered = np.array([rng.random() < 0.6 for _ in range(n)])
+    grams = sorted(index.gram_ids)
+    accuracy = {(rng.choice(grams), rng.randrange(n_classes)): rng.choice([0.0, 0.3, 0.6, 0.9])
+                for _ in range(25)}
+    return index, labels, uncovered, accuracy
+
+
+class TestSeuScoreReuse:
+    """Picks on one `SelectionState`, whose kept scores are reused while the
+    inputs hold, against scoring afresh on every call."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("capped", [False, True])
+    @pytest.mark.parametrize("change", [None, "labels", "uncovered", "accuracy", "prior"])
+    def test_picks_equal_scoring_afresh(self, seed, capped, change):
+        index, labels, uncovered, accuracy = _random_seu_inputs(seed)
+        prior = 0.5
+        cap = 12 if capped else None
+        kept = SelectionState(pool=list(range(len(labels))))
+        rng = random.Random(seed) if capped else None
+        for step in range(30):
+            if step == 10 and change == "labels":
+                labels[::3] = (labels[::3] + 1) % 3  # in place: the kept copy must see it
+            elif step == 10 and change == "uncovered":
+                uncovered = ~uncovered
+            elif step == 10 and change == "accuracy":
+                accuracy = {key: 1.0 - acc for key, acc in accuracy.items()}
+            elif step == 10 and change == "prior":
+                prior = 0.2
+            fresh_rng = None
+            if rng is not None:
+                fresh_rng = random.Random()
+                fresh_rng.setstate(rng.getstate())
+            want = seu_sampler(SelectionState(pool=list(kept.pool)), index, labels, uncovered,
+                               accuracy, cap, fresh_rng, prior)
+            assert seu_sampler(kept, index, labels, uncovered, accuracy, cap, rng, prior) == want
+        assert kept.seu is not None
+
+    def test_scores_are_reused_while_the_inputs_hold(self):
+        index, labels, uncovered, accuracy = _random_seu_inputs(0)
+        state = SelectionState(pool=list(range(len(labels))))
+        seu_sampler(state, index, labels, uncovered, accuracy)
+        kept = state.seu
+        seu_sampler(state, index, labels.copy(), uncovered.copy(), dict(accuracy))
+        assert state.seu is kept
+        changed = dict(accuracy)
+        key = next(iter(changed))
+        changed[key] = 1.0 - changed[key]
+        seu_sampler(state, index, labels, uncovered, changed)
+        assert state.seu is not kept
+
+    def test_capped_pool_scores_only_the_rows_drawn(self):
+        index, labels, uncovered, accuracy = _random_seu_inputs(1)
+        state = SelectionState(pool=list(range(len(labels))))
+        rng = random.Random(3)
+        seu_sampler(state, index, labels, uncovered, accuracy, pool_cap=5, rng=rng)
+        assert int(state.seu.scored.sum()) == 5
+        seu_sampler(state, index, labels, uncovered, accuracy, pool_cap=5, rng=rng)
+        assert 5 < int(state.seu.scored.sum()) <= 10
+
+    def test_a_changed_accuracy_moves_the_pick(self):
+        # every gram covers one uncovered row, so a row scores its accuracy
+        index = _index("alpha", "beta", "gamma")
+        labels, uncovered = np.zeros(3, dtype=np.int64), _rows(3, {0, 1, 2})
+        accuracy = {("alpha", 0): 0.9, ("beta", 0): 0.8, ("gamma", 0): 0.7}
+        state = SelectionState(pool=[0, 1, 2])
+        assert seu_sampler(state, index, labels, uncovered, accuracy) == 0
+        accuracy[("gamma", 0)] = 0.95  # a kept score of 0.7 would pick row 1
+        assert seu_sampler(state, index, labels, uncovered, accuracy) == 2
