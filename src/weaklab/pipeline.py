@@ -230,7 +230,7 @@ def build_backend(config: RunConfig, dataset: Dataset):
     if config.backend == "replay":
         if not config.transcript_path:
             raise ValueError("replay backend needs transcript_path")
-        return plmclient.ReplayBackend(plmclient.load_transcript(config.transcript_path))
+        return plmclient.TranscriptBackend(plmclient.load_transcript(config.transcript_path))
     if config.backend == "http":
         if not config.endpoint:
             raise ValueError("http backend needs an endpoint")
@@ -239,8 +239,19 @@ def build_backend(config: RunConfig, dataset: Dataset):
     raise ValueError("unknown backend %r" % config.backend)
 
 
+def label_model_kind(config: RunConfig) -> Optional[aggregate.LabelModelKind]:
+    """The Dawid-Skene settings of `config`, None for the two vote models;
+    raises ValueError for an unknown label model or a bad setting."""
+    if config.label_model not in ("majority", "weighted", "dawid_skene"):
+        raise ValueError("unknown label model %r" % config.label_model)
+    if config.label_model != "dawid_skene":
+        return None
+    return aggregate.LabelModelKind(em_max_iters=config.em_max_iters, em_tol=config.em_tol,
+                                    smoothing=config.smoothing, em_restarts=config.em_restarts)
+
+
 def _fit_label_model(config: RunConfig, dataset: Dataset, train_matrix: np.ndarray,
-                     valid_accuracies, warm=None) -> aggregate.ProbLabels:
+                     valid_accuracies, kind, warm=None) -> aggregate.ProbLabels:
     n, n_classes = len(dataset.train), dataset.n_classes
     if not (train_matrix != ABSTAIN).any():
         return aggregate.ProbLabels(probs=np.full((n, n_classes), 1.0 / n_classes),
@@ -250,20 +261,16 @@ def _fit_label_model(config: RunConfig, dataset: Dataset, train_matrix: np.ndarr
     if config.label_model == "weighted":
         accs = [0.5 if acc is None else acc for acc in valid_accuracies]
         return aggregate.weighted_vote(train_matrix, n_classes, accs)
-    if config.label_model == "dawid_skene":
-        kind = aggregate.LabelModelKind(em_max_iters=config.em_max_iters, em_tol=config.em_tol,
-                                        smoothing=config.smoothing,
-                                        em_restarts=config.em_restarts)
-        # keyword passed only when set, so a cold fit calls the plain signature
-        extra = {} if warm is None else {"warm": warm}
-        return aggregate.dawid_skene_em(train_matrix, n_classes, kind, **extra).problabels
-    raise ValueError("unknown label model %r" % config.label_model)
+    # keyword passed only when set, so a cold fit calls the plain signature
+    extra = {} if warm is None else {"warm": warm}
+    return aggregate.dawid_skene_em(train_matrix, n_classes, kind, **extra).problabels
 
 
-def refit(config: RunConfig, dataset: Dataset, train_matrix: np.ndarray, valid_accuracies,
-          X_train: np.ndarray, previous=None, problabels=None, warm=None):
+def refit(config: RunConfig, dataset: Dataset, kind, train_matrix: np.ndarray,
+          valid_accuracies, X_train: np.ndarray, previous=None, problabels=None, warm=None):
     """Fit the configured label model to the train vote columns, then the classifier.
 
+    `kind` is `label_model_kind(config)`, built once by the caller.
     valid_accuracies holds one validation accuracy per column (None for an LF
     that never fires there; the weighted vote reads it as 0.5). Without a
     single vote every row is uncovered. Every label-model fit is
@@ -281,7 +288,8 @@ def refit(config: RunConfig, dataset: Dataset, train_matrix: np.ndarray, valid_a
     if problabels is not None and previous is not None and previous.converged:
         return problabels, previous
     if problabels is None:
-        problabels = _fit_label_model(config, dataset, train_matrix, valid_accuracies, warm)
+        problabels = _fit_label_model(config, dataset, train_matrix, valid_accuracies, kind,
+                                      warm)
     rows, labels = aggregate.resolve_training_labels(problabels, dataset)
     if not len(rows):
         return problabels, None
@@ -318,12 +326,15 @@ def run(config: RunConfig, backend=None, dataset: Optional[Dataset] = None) -> R
     spec = prompting.PromptSpec(method=config.prompt_method, n_responses=config.n_responses,
                                 ic_mode=config.ic_mode, k_per_class=config.k_per_class,
                                 k_total=config.k_total, temperature=config.temperature)
+    kind = label_model_kind(config)
     if backend is None:
         backend = build_backend(config, dataset)
     transcript = None
     if config.transcript_path and config.backend != "replay":
+        # a live run records through the transcript, so a repeated request is
+        # answered as its replay will answer it
         transcript = plmclient.Transcript()
-        backend = plmclient.RecordingBackend(backend, transcript)
+        backend = plmclient.TranscriptBackend(transcript, backend)
 
     rng = random.Random(config.seed)
     positive_class = (dataset.classes.index(config.positive_class)
@@ -389,11 +400,7 @@ def run(config: RunConfig, backend=None, dataset: Optional[Dataset] = None) -> R
             parsed = ask(prompting.build_task_prompt(dataset, query, examples, spec.cot,
                                                      config.task_description),
                          spec.temperature, spec.n_responses)
-            if len(parsed) > 1:
-                label, keywords, patterns = prompting.aggregate_sc(parsed, dataset.n_classes)
-            else:
-                label = parsed[0].label
-                keywords, patterns = parsed[0].keywords, parsed[0].patterns
+            label, keywords, patterns = prompting.aggregate_sc(parsed, dataset.n_classes)
             payloads = keywords if lf_kind == KEYWORD else patterns
             candidates = []
             if label is not None:
@@ -411,16 +418,19 @@ def run(config: RunConfig, backend=None, dataset: Optional[Dataset] = None) -> R
             if not config.lazy_retrain:
                 # the label model's inputs change only when an LF is admitted,
                 # and then only by new columns, so its fit starts from the last
-                problabels, model = refit(config, dataset, gate.train_matrix(),
+                problabels, model = refit(config, dataset, kind, gate.train_matrix(),
                                           gate.valid_accuracies, X_train, model,
                                           problabels=None if new_lfs else problabels,
                                           warm=problabels)
     except plmclient.BackendError as exc:
         warning = "backend error at iteration %d: %s" % (len(records) + 1, exc)
         complete_run = False
+    finally:  # every request is made in the loop; keep what was paid for however it ends
+        if transcript is not None:
+            plmclient.save_transcript(transcript, config.transcript_path)
 
     if complete_run and (config.lazy_retrain or problabels is None):
-        problabels, model = refit(config, dataset, gate.train_matrix(),
+        problabels, model = refit(config, dataset, kind, gate.train_matrix(),
                                   gate.valid_accuracies, X_train, model)
     del X_train  # the metric suite builds its own test blocks; hold one dense block at a time
 
@@ -430,8 +440,6 @@ def run(config: RunConfig, backend=None, dataset: Optional[Dataset] = None) -> R
                        iterations=[r.to_record() for r in records],
                        final_lfs=[labelfns.lf_to_record(lf) for lf in gate.admitted],
                        complete=complete_run, warning=warning)
-    if transcript is not None:
-        plmclient.save_transcript(transcript, config.transcript_path)
     if config.report_path:
         report.save(config.report_path)
     return report

@@ -1,4 +1,4 @@
-"""Chat-completion backends: live HTTP, deterministic mock oracle, replay.
+"""Chat-completion backends: live HTTP, deterministic mock oracle, transcript.
 
 Every request is hashed over its canonicalized (messages, temperature, n)
 payload; transcripts keyed by that hash make any run replayable bit-for-bit
@@ -25,7 +25,7 @@ except ImportError:
         from hashlib import sha256
 
 from .corpus import RELATION_TASK, extract_ngrams, read_jsonl, tokenize
-from .prompting import ChatMessage, render_response
+from .prompting import render_response
 
 
 class BackendError(RuntimeError):
@@ -65,16 +65,6 @@ def request_to_dict(request: CompletionRequest) -> dict:
     }
 
 
-def request_from_dict(obj: dict) -> CompletionRequest:
-    return CompletionRequest(
-        messages=[ChatMessage(role=m["role"], content=m["content"]) for m in obj["messages"]],
-        temperature=obj.get("temperature", 0.0),
-        n=obj.get("n", 1),
-        model_name=obj.get("model_name", "mock"),
-        max_tokens=obj.get("max_tokens", 512),
-    )
-
-
 def request_hash(request: CompletionRequest) -> str:
     """Deterministic hash over messages + temperature + n, insensitive to
     JSON field ordering."""
@@ -103,12 +93,6 @@ class TranscriptRecord:
 class Transcript:
     records: list = field(default_factory=list)
 
-    def append(self, record: TranscriptRecord):
-        self.records.append(record)
-
-    def by_hash(self) -> dict:
-        return {r.hash: r.responses for r in self.records}
-
 
 def save_transcript(transcript: Transcript, path):
     with open(path, "w", encoding="utf-8") as fh:
@@ -122,12 +106,19 @@ def load_transcript(path) -> Transcript:
     transcript = Transcript()
     for line_no, obj in read_jsonl(path, BackendError):
         try:
-            transcript.append(TranscriptRecord(
+            record = TranscriptRecord(
                 hash=obj["hash"], request=obj["request"], responses=obj["responses"],
-                backend=obj.get("backend", ""), elapsed=obj.get("elapsed", 0.0)))
+                backend=obj.get("backend", ""), elapsed=obj.get("elapsed", 0.0))
         except KeyError as exc:
             raise BackendError("transcript line %d of %s is corrupt (missing %s)"
                                % (line_no, path, exc))
+        if not (isinstance(record.hash, str) and isinstance(record.request, dict)
+                and isinstance(record.responses, list)
+                and all(isinstance(r, str) for r in record.responses)):
+            raise BackendError("transcript line %d of %s is corrupt (hash must be a string, "
+                               "request an object and responses a list of strings)"
+                               % (line_no, path))
+        transcript.records.append(record)
     return transcript
 
 
@@ -292,21 +283,6 @@ class MockBackend:
         return _mock_response(label_name, self.task_kind, payloads, cot=True)
 
 
-class ReplayBackend:
-    """Serve responses from a recorded transcript, keyed by request hash."""
-
-    name = "replay"
-
-    def __init__(self, transcript: Transcript):
-        self._responses = transcript.by_hash()
-
-    def complete(self, request: CompletionRequest):
-        key = request_hash(request)
-        if key not in self._responses:
-            raise ReplayMissError("no recorded response for request hash %s" % key)
-        return list(self._responses[key])
-
-
 class HttpBackend:
     """POST to an OpenAI-style /chat/completions endpoint with bounded retry."""
 
@@ -369,22 +345,32 @@ class HttpBackend:
         raise BackendError("retries exhausted: %s" % last_error)
 
 
-class RecordingBackend:
-    """Wrap another backend and append every exchange to a transcript."""
+class TranscriptBackend:
+    """Serve each request whose hash `transcript` holds with its recorded
+    responses; send any other to `inner` and append the exchange, or raise
+    ReplayMissError when there is no `inner`. A request sent twice is thus
+    answered from its first exchange, both while recording and while
+    replaying, and `inner` sees it once."""
 
-    def __init__(self, inner, transcript: Transcript):
-        self.inner = inner
+    def __init__(self, transcript: Transcript, inner=None):
         self.transcript = transcript
-        self.name = getattr(inner, "name", "unknown")
+        self.inner = inner
+        # the first record of a hash answers it, as it did while recording
+        self._responses = {r.hash: r.responses for r in reversed(transcript.records)}
 
     def complete(self, request: CompletionRequest):
-        start = time.monotonic()
-        responses = self.inner.complete(request)
-        self.transcript.append(TranscriptRecord(
-            hash=request_hash(request), request=request_to_dict(request),
-            responses=list(responses), backend=self.name,
-            elapsed=time.monotonic() - start))
-        return responses
+        key = request_hash(request)
+        if key not in self._responses:
+            if self.inner is None:
+                raise ReplayMissError("no recorded response for request hash %s" % key)
+            start = time.monotonic()
+            responses = list(self.inner.complete(request))
+            self.transcript.records.append(TranscriptRecord(
+                hash=key, request=request_to_dict(request), responses=responses,
+                backend=getattr(self.inner, "name", "unknown"),
+                elapsed=time.monotonic() - start))
+            self._responses[key] = responses
+        return list(self._responses[key])
 
 
 def complete(backend, request: CompletionRequest):

@@ -41,6 +41,8 @@ class PromptSpec:
     def __post_init__(self):
         if self.method not in ("few_shot", "cot", "self_consistency"):
             raise ValueError("unknown prompting method %r" % self.method)
+        if self.ic_mode not in ("balanced", "kate"):
+            raise ValueError("unknown in-context example mode %r" % self.ic_mode)
         if self.n_responses == 0:
             self.n_responses = 10 if self.method == "self_consistency" else 1
         if self.n_responses < 1:

@@ -73,6 +73,17 @@ def test_record_then_replay_subcommand(workdir):
     assert recorded.read_bytes() == replayed.read_bytes()
 
 
+def test_incomplete_replay_prints_its_warning(workdir, capsys):
+    """`replay` is `run --backend replay`: a miss ends with a partial report
+    and the run's warning."""
+    transcript = workdir["root"] / "short.jsonl"
+    assert main(["run", "--config", workdir["config"], "--transcript", str(transcript)]) == 0
+    capsys.readouterr()
+    assert main(["replay", "--config", workdir["config"], "--transcript", str(transcript),
+                 "--seed", "9"]) == 1  # other queries, so a request misses
+    assert "WARNING: backend error at iteration" in capsys.readouterr().err
+
+
 def test_multi_seed_subcommand(workdir, capsys):
     summary_path = workdir["root"] / "summary.json"
     assert main(["multi-seed", "--config", workdir["config"], "--seeds", "2",

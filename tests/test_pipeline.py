@@ -412,6 +412,103 @@ class TestRecordReplay:
                              seed=99))  # different queries -> unseen requests
         assert not report.complete
 
+    def test_repeated_passage_replays_byte_identical(self, tmp_path):
+        """A train file that repeats a passage sends one request twice. The
+        recording answers the repeat from its first exchange, so a backend
+        that answers every call differently is asked once and the replay
+        serves what the recording saw."""
+        class EachCallDiffers:
+            name = "each-call-differs"
+
+            def __init__(self):
+                self.requests = []
+
+            def complete(self, request):
+                self.requests.append(plmclient.request_hash(request))
+                keywords = "; ".join("w%d" % i for i in range(len(self.requests)))
+                return ["LABEL: A\nKEYWORDS: %s" % keywords] * request.n
+
+        texts = ["alpha beta", "gamma delta", "alpha beta", "epsilon zeta"]
+        dataset = Dataset(task_kind=TEXT_TASK, classes=["A", "B"], default_class=0,
+                          train=[Instance(id=i, text=t, gold_label=0)
+                                 for i, t in enumerate(texts)],
+                          valid=[Instance(id=20 + c, text="alpha", gold_label=c)
+                                 for c in (0, 1)],
+                          test=[Instance(id=30, text="beta", gold_label=0)])
+        annotations = tmp_path / "annotations.jsonl"
+        annotations.write_text("".join(json.dumps({"id": inst.id}) + "\n"
+                                       for inst in dataset.valid))
+        transcript = str(tmp_path / "transcript.jsonl")
+        config = RunConfig(annotations_path=str(annotations), n_iterations=4,
+                           max_opt_iters=50, transcript_path=transcript)
+        inner = EachCallDiffers()
+        recorded = run(config, backend=inner, dataset=dataset)
+        assert sorted(it["query_id"] for it in recorded.iterations) == [0, 1, 2, 3]
+        assert len(inner.requests) == len(set(inner.requests)) == 3
+        assert len(plmclient.load_transcript(transcript).records) == 3
+        replay = RunConfig.from_dict({**config.to_dict(), "backend": "replay"})
+        assert run(replay, dataset=dataset).to_json() == recorded.to_json()
+
+    def test_transcript_is_saved_when_the_loop_raises(self, corpus_paths, monkeypatch,
+                                                     tmp_path):
+        """Iteration 3's refit raises after its request is answered: the
+        transcript still holds every exchange made, and they replay."""
+        transcript = str(tmp_path / "transcript.jsonl")
+        uninterrupted = run(_config(corpus_paths))
+        original = pipeline.refit
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise RuntimeError("refit failed")
+            return original(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "refit", failing)
+            with pytest.raises(RuntimeError, match="refit failed"):
+                run(_config(corpus_paths, transcript_path=transcript))
+        assert len(plmclient.load_transcript(transcript).records) == 3
+        replayed = run(_config(corpus_paths, backend="replay", transcript_path=transcript))
+        assert not replayed.complete
+        assert replayed.warning.startswith("backend error at iteration 4")
+        assert replayed.iterations == uninterrupted.iterations[:3]
+
+
+class TestMisconfiguredRun:
+    """A config that cannot run fails before the backend is asked anything."""
+
+    @pytest.mark.parametrize("overrides, match", [
+        (dict(label_model="dawid-skene", lazy_retrain=True), "unknown label model"),
+        (dict(label_model="dawid-skene"), "unknown label model"),
+        (dict(em_max_iters=0), "em_max_iters"),
+        (dict(ic_mode="KATE"), "in-context example mode"),
+    ])
+    def test_fails_before_the_first_request(self, corpus_paths, monkeypatch, tmp_path,
+                                            overrides, match):
+        calls = _count_calls(monkeypatch, plmclient, "complete")
+        transcript = tmp_path / "transcript.jsonl"
+        with pytest.raises(ValueError, match=match):
+            run(_config(corpus_paths, transcript_path=str(transcript), **overrides))
+        assert calls == []
+        assert not transcript.exists()
+
+
+@pytest.mark.parametrize("method", ["few_shot", "self_consistency"])
+def test_a_payload_listed_twice_is_proposed_once(corpus_paths, method):
+    """Every response list goes through self-consistency aggregation, so a
+    single response that repeats a keyword proposes it once."""
+    class Repeating:
+        name = "repeating"
+
+        def complete(self, request):
+            return ["LABEL: class0\nKEYWORDS: sig0x0; sig0x0"] * request.n
+
+    report = run(_config(corpus_paths, prompt_method=method, n_iterations=1,
+                         enable_redundancy=False), backend=Repeating())
+    assert report.iterations[0]["proposed"] == 1
+    assert [lf["payload"] for lf in report.final_lfs] == ["sig0x0"]
+
 
 class TestComputeMetrics:
     def _fixture(self):

@@ -8,25 +8,22 @@ from weaklab import plmclient
 from weaklab.corpus import EntitySpan, Instance, TEXT_TASK, RELATION_TASK
 from weaklab.plmclient import (
     BackendError,
-    ChatMessage,
     CompletionRequest,
     HttpBackend,
     MockBackend,
     MockOracleConfig,
-    RecordingBackend,
-    ReplayBackend,
     ReplayMissError,
     Transcript,
+    TranscriptBackend,
     TranscriptRecord,
     complete,
     load_transcript,
     mock_oracle_respond,
-    request_from_dict,
     request_hash,
     request_to_dict,
     save_transcript,
 )
-from weaklab.prompting import parse_response, render_instance
+from weaklab.prompting import ChatMessage, parse_response, render_instance
 
 
 def _request(text="PASSAGE: free stuff", n=1, temperature=0.0):
@@ -48,7 +45,9 @@ class TestRequest:
 
     def test_dict_round_trip(self):
         req = _request(n=3, temperature=0.7)
-        assert request_from_dict(request_to_dict(req)) == req
+        fields = request_to_dict(req)
+        messages = [ChatMessage(**m) for m in fields.pop("messages")]
+        assert CompletionRequest(messages=messages, **fields) == req
 
     def test_hash_stable_and_sensitive(self):
         base = request_hash(_request())
@@ -214,17 +213,14 @@ class TestMockBackend:
 
 class TestTranscript:
     def test_round_trip(self, tmp_path):
-        transcript = Transcript()
         req = _request()
-        transcript.append(TranscriptRecord(hash=request_hash(req),
-                                           request=request_to_dict(req),
-                                           responses=["LABEL: SPAM"], backend="mock",
-                                           elapsed=0.01))
+        transcript = Transcript([TranscriptRecord(hash=request_hash(req),
+                                                  request=request_to_dict(req),
+                                                  responses=["LABEL: SPAM"], backend="mock",
+                                                  elapsed=0.01)])
         path = tmp_path / "t.jsonl"
         save_transcript(transcript, path)
-        reloaded = load_transcript(path)
-        assert reloaded.by_hash() == transcript.by_hash()
-        assert reloaded.records[0].backend == "mock"
+        assert load_transcript(path) == transcript
 
     def test_corrupt_line_reports_number(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -235,6 +231,12 @@ class TestTranscript:
     @pytest.mark.parametrize("line, match", [
         ('["x"]', r"line 2 .*not a JSON object"),
         ('{"hash": "b", "request": {}}', r"line 2 .*missing 'responses'"),
+        # replay would serve a string's characters as responses
+        ('{"hash": "b", "request": {}, "responses": "LABEL: A"}', r"line 2 .*list of strings"),
+        ('{"hash": "b", "request": {}, "responses": ["LABEL: A", 3]}',
+         r"line 2 .*list of strings"),
+        ('{"hash": 7, "request": {}, "responses": []}', r"line 2 .*hash must be a string"),
+        ('{"hash": "b", "request": [], "responses": []}', r"line 2 .*request an object"),
     ])
     def test_record_that_is_no_transcript_entry_names_the_line(self, tmp_path, line, match):
         path = tmp_path / "t.jsonl"
@@ -243,18 +245,29 @@ class TestTranscript:
             load_transcript(path)
 
 
+class _Counter:
+    """A backend that answers every call differently."""
+
+    name = "counter"
+
+    def __init__(self):
+        self.requests = []
+
+    def complete(self, request):
+        self.requests.append(request_hash(request))
+        return ["LABEL: HAM\nKEYWORDS: call%d" % len(self.requests)] * request.n
+
+
 class TestReplay:
     def test_replay_hit(self):
         req = _request()
-        transcript = Transcript()
-        transcript.append(TranscriptRecord(hash=request_hash(req),
-                                           request=request_to_dict(req),
-                                           responses=["LABEL: HAM\nKEYWORDS: NONE"]))
-        backend = ReplayBackend(transcript)
+        backend = TranscriptBackend(Transcript([TranscriptRecord(
+            hash=request_hash(req), request=request_to_dict(req),
+            responses=["LABEL: HAM\nKEYWORDS: NONE"])]))
         assert complete(backend, req) == ["LABEL: HAM\nKEYWORDS: NONE"]
 
     def test_replay_miss(self):
-        backend = ReplayBackend(Transcript())
+        backend = TranscriptBackend(Transcript())
         with pytest.raises(ReplayMissError):
             backend.complete(_request())
 
@@ -262,11 +275,43 @@ class TestReplay:
         instances = [Instance(id=0, text="get free stuff today", gold_label=1)]
         mock = MockBackend(_oracle_config(), instances, TEXT_TASK)
         transcript = Transcript()
-        recorder = RecordingBackend(mock, transcript)
+        recorder = TranscriptBackend(transcript, mock)
         req = _request("PASSAGE: get free stuff today")
         original = complete(recorder, req)
-        replayed = complete(ReplayBackend(transcript), req)
+        assert [r.hash for r in transcript.records] == [request_hash(req)]
+        assert transcript.records[0].backend == "mock"
+        replayed = complete(TranscriptBackend(transcript), req)
         assert replayed == original
+
+    def test_repeated_request_gets_its_first_answer(self):
+        inner = _Counter()
+        transcript = Transcript()
+        recorder = TranscriptBackend(transcript, inner)
+        a, b = _request("PASSAGE: a"), _request("PASSAGE: b")
+        recorded = [complete(recorder, r) for r in (a, b, a)]
+        assert recorded[2] == recorded[0] != recorded[1]
+        assert inner.requests == [request_hash(a), request_hash(b)]
+        assert len(transcript.records) == 2
+        replay = TranscriptBackend(transcript)
+        assert [complete(replay, r) for r in (a, b, a)] == recorded
+
+    def test_hit_is_served_and_miss_sent_on(self):
+        a, b = _request("PASSAGE: a"), _request("PASSAGE: b")
+        transcript = Transcript([TranscriptRecord(hash=request_hash(a), request={},
+                                                  responses=["LABEL: SPAM"])])
+        inner = _Counter()
+        backend = TranscriptBackend(transcript, inner)
+        assert complete(backend, a) == ["LABEL: SPAM"]
+        assert complete(backend, b) == ["LABEL: HAM\nKEYWORDS: call1"]
+        assert inner.requests == [request_hash(b)]
+        assert [r.hash for r in transcript.records] == [request_hash(a), request_hash(b)]
+
+    def test_a_hash_recorded_twice_is_served_its_first_record(self):
+        req = _request()
+        transcript = Transcript([
+            TranscriptRecord(hash=request_hash(req), request={}, responses=[text])
+            for text in ("LABEL: HAM", "LABEL: SPAM")])
+        assert complete(TranscriptBackend(transcript), req) == ["LABEL: HAM"]
 
 
 class _FakeResponse:
