@@ -66,8 +66,7 @@ def cmd_eval_lfs(args):
     space = downstream.fit_tfidf([i.text for i in dataset.train],
                                  min_df=config.min_df, max_features=config.max_features)
     X_train = downstream.featurize_all(space, [i.text for i in dataset.train])
-    problabels, model = pipeline.refit(config, dataset, pipeline.label_model_kind(config),
-                                       train_matrix, valid_accuracies, X_train)
+    problabels, model = pipeline.refit(config, dataset, train_matrix, valid_accuracies, X_train)
     positive = (dataset.classes.index(config.positive_class)
                 if config.positive_class is not None else None)
     metrics = pipeline.compute_metrics(dataset, lfs, train_matrix, problabels, model,
@@ -103,16 +102,13 @@ def build_parser():
                                      description="iterative weak-supervision pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # `replay` is `run --backend replay`
-    for name, backend, help in (("run", None, "execute one pipeline run"),
-                                ("replay", "replay", "re-run from a recorded transcript")):
-        p = sub.add_parser(name, help=help)
-        _add_config_arg(p)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--backend", choices=["http", "mock", "replay"], default=backend)
-        p.add_argument("--transcript", help="record (or replay) a transcript at this path")
-        p.add_argument("--report", help="write the JSON report here")
-        p.set_defaults(func=cmd_run)
+    p = sub.add_parser("run", help="execute one pipeline run")
+    _add_config_arg(p)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--backend", choices=["http", "mock", "replay"])
+    p.add_argument("--transcript", help="record (or replay) a transcript at this path")
+    p.add_argument("--report", help="write the JSON report here")
+    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("multi-seed", help="aggregate a run over several seeds")
     _add_config_arg(p)
@@ -121,6 +117,12 @@ def build_parser():
     p.add_argument("--backend", choices=["http", "mock", "replay"])
     p.add_argument("--report")
     p.set_defaults(func=cmd_multi_seed)
+
+    p = sub.add_parser("replay", help="re-run from a recorded transcript")
+    _add_config_arg(p)
+    p.add_argument("--transcript", required=True)
+    p.add_argument("--report")
+    p.set_defaults(func=cmd_run, backend="replay")  # `run --backend replay`
 
     p = sub.add_parser("eval-lfs", help="score an external LF set file")
     _add_config_arg(p)

@@ -14,6 +14,7 @@ import json
 import math
 import random
 import statistics
+import sys
 from dataclasses import dataclass, field, asdict
 from typing import Optional
 
@@ -251,7 +252,7 @@ def label_model_kind(config: RunConfig) -> Optional[aggregate.LabelModelKind]:
 
 
 def _fit_label_model(config: RunConfig, dataset: Dataset, train_matrix: np.ndarray,
-                     valid_accuracies, kind, warm=None) -> aggregate.ProbLabels:
+                     valid_accuracies, warm=None) -> aggregate.ProbLabels:
     n, n_classes = len(dataset.train), dataset.n_classes
     if not (train_matrix != ABSTAIN).any():
         return aggregate.ProbLabels(probs=np.full((n, n_classes), 1.0 / n_classes),
@@ -263,14 +264,14 @@ def _fit_label_model(config: RunConfig, dataset: Dataset, train_matrix: np.ndarr
         return aggregate.weighted_vote(train_matrix, n_classes, accs)
     # keyword passed only when set, so a cold fit calls the plain signature
     extra = {} if warm is None else {"warm": warm}
-    return aggregate.dawid_skene_em(train_matrix, n_classes, kind, **extra).problabels
+    return aggregate.dawid_skene_em(train_matrix, n_classes, label_model_kind(config),
+                                    **extra).problabels
 
 
-def refit(config: RunConfig, dataset: Dataset, kind, train_matrix: np.ndarray,
-          valid_accuracies, X_train: np.ndarray, previous=None, problabels=None, warm=None):
+def refit(config: RunConfig, dataset: Dataset, train_matrix: np.ndarray, valid_accuracies,
+          X_train: np.ndarray, previous=None, problabels=None, warm=None):
     """Fit the configured label model to the train vote columns, then the classifier.
 
-    `kind` is `label_model_kind(config)`, built once by the caller.
     valid_accuracies holds one validation accuracy per column (None for an LF
     that never fires there; the weighted vote reads it as 0.5). Without a
     single vote every row is uncovered. Every label-model fit is
@@ -288,8 +289,7 @@ def refit(config: RunConfig, dataset: Dataset, kind, train_matrix: np.ndarray,
     if problabels is not None and previous is not None and previous.converged:
         return problabels, previous
     if problabels is None:
-        problabels = _fit_label_model(config, dataset, train_matrix, valid_accuracies, kind,
-                                      warm)
+        problabels = _fit_label_model(config, dataset, train_matrix, valid_accuracies, warm)
     rows, labels = aggregate.resolve_training_labels(problabels, dataset)
     if not len(rows):
         return problabels, None
@@ -326,13 +326,13 @@ def run(config: RunConfig, backend=None, dataset: Optional[Dataset] = None) -> R
     spec = prompting.PromptSpec(method=config.prompt_method, n_responses=config.n_responses,
                                 ic_mode=config.ic_mode, k_per_class=config.k_per_class,
                                 k_total=config.k_total, temperature=config.temperature)
-    kind = label_model_kind(config)
+    label_model_kind(config)  # a bad label model fails here, not at its first fit
     if backend is None:
         backend = build_backend(config, dataset)
     transcript = None
     if config.transcript_path and config.backend != "replay":
-        # a live run records through the transcript, so a repeated request is
-        # answered as its replay will answer it
+        # a recorded live run answers a repeated request from its first
+        # exchange, as its replay will; an unrecorded one asks the backend again
         transcript = plmclient.Transcript()
         backend = plmclient.TranscriptBackend(transcript, backend)
 
@@ -418,19 +418,21 @@ def run(config: RunConfig, backend=None, dataset: Optional[Dataset] = None) -> R
             if not config.lazy_retrain:
                 # the label model's inputs change only when an LF is admitted,
                 # and then only by new columns, so its fit starts from the last
-                problabels, model = refit(config, dataset, kind, gate.train_matrix(),
+                problabels, model = refit(config, dataset, gate.train_matrix(),
                                           gate.valid_accuracies, X_train, model,
                                           problabels=None if new_lfs else problabels,
                                           warm=problabels)
     except plmclient.BackendError as exc:
         warning = "backend error at iteration %d: %s" % (len(records) + 1, exc)
         complete_run = False
-    finally:  # every request is made in the loop; keep what was paid for however it ends
-        if transcript is not None:
+    finally:
+        # every request is made in the loop: keep what was paid for however it
+        # ends, but a crash before the first answer leaves an older file alone
+        if transcript is not None and (transcript.records or sys.exc_info()[0] is None):
             plmclient.save_transcript(transcript, config.transcript_path)
 
     if complete_run and (config.lazy_retrain or problabels is None):
-        problabels, model = refit(config, dataset, kind, gate.train_matrix(),
+        problabels, model = refit(config, dataset, gate.train_matrix(),
                                   gate.valid_accuracies, X_train, model)
     del X_train  # the metric suite builds its own test blocks; hold one dense block at a time
 

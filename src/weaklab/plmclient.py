@@ -350,7 +350,8 @@ class TranscriptBackend:
     responses; send any other to `inner` and append the exchange, or raise
     ReplayMissError when there is no `inner`. A request sent twice is thus
     answered from its first exchange, both while recording and while
-    replaying, and `inner` sees it once."""
+    replaying, and `inner` sees it once. A live backend used without this
+    wrapper (a run with no transcript_path) is asked again for a repeat."""
 
     def __init__(self, transcript: Transcript, inner=None):
         self.transcript = transcript

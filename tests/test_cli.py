@@ -79,8 +79,9 @@ def test_incomplete_replay_prints_its_warning(workdir, capsys):
     transcript = workdir["root"] / "short.jsonl"
     assert main(["run", "--config", workdir["config"], "--transcript", str(transcript)]) == 0
     capsys.readouterr()
-    assert main(["replay", "--config", workdir["config"], "--transcript", str(transcript),
-                 "--seed", "9"]) == 1  # other queries, so a request misses
+    other_seed = workdir["root"] / "other_seed.json"  # other queries, so a request misses
+    other_seed.write_text(json.dumps({**workdir["config_dict"], "seed": 9}))
+    assert main(["replay", "--config", str(other_seed), "--transcript", str(transcript)]) == 1
     assert "WARNING: backend error at iteration" in capsys.readouterr().err
 
 

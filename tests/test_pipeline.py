@@ -474,6 +474,20 @@ class TestRecordReplay:
         assert replayed.warning.startswith("backend error at iteration 4")
         assert replayed.iterations == uninterrupted.iterations[:3]
 
+    def test_a_crash_before_the_first_answer_keeps_an_older_transcript(
+            self, corpus_paths, monkeypatch, tmp_path):
+        transcript = tmp_path / "transcript.jsonl"
+        run(_config(corpus_paths, transcript_path=str(transcript)))
+        older = transcript.read_bytes()
+
+        def failing(*args, **kwargs):
+            raise RuntimeError("pick failed")
+
+        monkeypatch.setattr(pipeline, "_select_query", failing)
+        with pytest.raises(RuntimeError, match="pick failed"):
+            run(_config(corpus_paths, transcript_path=str(transcript)))
+        assert transcript.read_bytes() == older
+
 
 class TestMisconfiguredRun:
     """A config that cannot run fails before the backend is asked anything."""
