@@ -30,7 +30,7 @@ def main():
                         help="per-token signature inclusion probability")
     parser.add_argument("--iterations", type=int, default=50)
     parser.add_argument("--seeds", type=int, default=1,
-                        help="number of seeds; >1 prints mean/std per metric")
+                        help="number of seeds; >1 prints mean ± std per metric")
     parser.add_argument("--sampler", default="random",
                         choices=["random", "uncertainty", "seu"])
     parser.add_argument("--label-model", default="dawid_skene",
@@ -53,12 +53,8 @@ def main():
 
     if args.seeds > 1:
         summary, _ = multi_seed(config, n_seeds=args.seeds)
-        print("\n%d seeds (mean / std):" % args.seeds)
-        for name, entry in summary["metrics"].items():
-            if entry["mean"] is None:
-                print("  %-12s --" % name)
-            else:
-                print("  %-12s %.4f / %.4f" % (name, entry["mean"], entry["std"]))
+        print("\n%d seeds (mean ± std):" % args.seeds)
+        print(render_report_table(summary["metrics"]))
     else:
         report = run(config, dataset=dataset)
         print()

@@ -1,8 +1,8 @@
 """Label models: majority vote, accuracy-weighted vote and Dawid-Skene EM.
 
 All aggregators consume a weak-label vote matrix with entries in
-{0..C-1} | {ABSTAIN} and produce row-stochastic per-instance class
-distributions plus a coverage mask.
+{0..C-1} | {ABSTAIN}, raise ValueError on any other entry and produce
+row-stochastic per-instance class distributions plus a coverage mask.
 
 The EM model factors each LF's behavior into a per-class vote propensity
 (how often it fires given the true class) and a confusion matrix
@@ -58,6 +58,12 @@ class LabelModelKind:
             raise ValueError("smoothing must be >= 0")
 
 
+def _check_votes(entries: np.ndarray, n_classes: int):
+    """Raise ValueError unless every entry is ABSTAIN or a class index."""
+    if entries.size and (entries.min() < ABSTAIN or entries.max() >= n_classes):
+        raise ValueError("vote entries must lie in %d..%d" % (ABSTAIN, n_classes - 1))
+
+
 def _vote_counts(entries: np.ndarray, n_classes: int) -> np.ndarray:
     n = entries.shape[0]
     counts = np.zeros((n, n_classes))
@@ -68,6 +74,7 @@ def _vote_counts(entries: np.ndarray, n_classes: int) -> np.ndarray:
 
 def majority_vote(entries: np.ndarray, n_classes: int) -> ProbLabels:
     """Vote-fraction distribution over non-abstain votes per instance."""
+    _check_votes(entries, n_classes)
     counts = _vote_counts(entries, n_classes)
     totals = counts.sum(axis=1)
     covered = totals > 0
@@ -86,6 +93,7 @@ def weighted_vote(entries: np.ndarray, n_classes: int, lf_accuracies) -> ProbLab
     n, m = entries.shape
     if len(lf_accuracies) != m:
         raise ValueError("expected %d LF accuracies, got %d" % (m, len(lf_accuracies)))
+    _check_votes(entries, n_classes)
     acc = np.clip(np.asarray(lf_accuracies, dtype=float), 0.05, 0.95)
     weights = np.log(acc * (n_classes - 1) / (1.0 - acc))
     scores = np.zeros((n, n_classes))

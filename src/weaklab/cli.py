@@ -45,11 +45,7 @@ def cmd_multi_seed(args):
         with open(args.report, "w", encoding="utf-8") as fh:
             json.dump(summary, fh, sort_keys=True, indent=2)
             fh.write("\n")
-    for name, stats in summary["metrics"].items():
-        if stats["mean"] is None:
-            print("%-12s --" % name)
-        else:
-            print("%-12s %.4f (%.4f)" % (name, stats["mean"], stats["std"]))
+    print(pipeline.render_report_table(summary["metrics"]))
     return 1 if summary["partial"] else 0
 
 
@@ -90,6 +86,7 @@ def cmd_synth(args):
 
 
 def cmd_report(args):
+    """Render a run report, `eval-lfs` metrics or a multi-seed summary."""
     with open(args.report, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     metrics = payload.get("metrics", payload)
@@ -114,7 +111,7 @@ def build_parser():
     _add_config_arg(p)
     p.add_argument("--seeds", type=int, default=5)
     p.add_argument("--seed", type=int)
-    p.add_argument("--backend", choices=["http", "mock", "replay"])
+    p.add_argument("--backend", choices=["http", "mock"])  # a transcript holds one seed
     p.add_argument("--report")
     p.set_defaults(func=cmd_multi_seed)
 

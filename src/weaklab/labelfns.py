@@ -315,21 +315,22 @@ class LFStats:
     n_active: int
 
 
+def measure_accuracy(votes: np.ndarray, gold: np.ndarray):
+    """Accuracy over active instances; None when the LF never fires."""
+    active = votes != ABSTAIN
+    return float((votes[active] == gold[active]).mean()) if active.any() else None
+
+
 def lf_stats(lf: LabelFunction, instances, votes: Optional[np.ndarray] = None) -> LFStats:
     """Coverage and accuracy of one LF over a split (accuracy needs gold labels)."""
     instances = list(instances)
     if votes is None:
         votes = np.array([apply_lf(lf, inst) for inst in instances])
-    active = votes != ABSTAIN
-    n_active = int(active.sum())
-    coverage = n_active / len(instances) if instances else 0.0
-    if n_active == 0:
-        return LFStats(coverage=coverage, accuracy=None, n_active=0)
-    golds = [instances[i].gold_label for i in np.nonzero(active)[0]]
-    if any(g is None for g in golds):
-        return LFStats(coverage=coverage, accuracy=None, n_active=n_active)
-    correct = sum(1 for i, g in zip(np.nonzero(active)[0], golds) if votes[i] == g)
-    return LFStats(coverage=coverage, accuracy=correct / n_active, n_active=n_active)
+    active = np.flatnonzero(votes != ABSTAIN)
+    golds = [instances[i].gold_label for i in active]
+    accuracy = None if None in golds else measure_accuracy(votes[active], np.array(golds))
+    return LFStats(coverage=len(active) / len(instances) if instances else 0.0,
+                   accuracy=accuracy, n_active=len(active))
 
 
 def lf_to_record(lf: LabelFunction) -> dict:

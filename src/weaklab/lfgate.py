@@ -21,6 +21,7 @@ from .labelfns import (
     LFError,
     Provenance,
     compile_lf,
+    measure_accuracy,
 )
 
 STAGE_VALIDITY = "validity"
@@ -74,15 +75,6 @@ def validity_filter(candidate: CandidateSpec, dataset: Dataset):
         return lf, None
     except LFError as exc:
         return None, str(exc)
-
-
-def measure_accuracy(votes: np.ndarray, gold: np.ndarray):
-    """Accuracy over active instances; None when the LF never fires."""
-    active = votes != ABSTAIN
-    n_active = int(active.sum())
-    if n_active == 0:
-        return None
-    return float((votes[active] == gold[active]).mean())
 
 
 def accuracy_filter(votes: np.ndarray, gold: np.ndarray, config: FilterConfig):

@@ -554,9 +554,12 @@ def write_synthetic(out_dir, dataset: Dataset, signatures_by_name: dict, annotat
 
 def multi_seed(config: RunConfig, n_seeds: int = 5):
     """Run with seeds seed..seed+n_seeds-1; report mean and sample standard
-    deviation per metric. Returns (aggregate dict, list of reports)."""
+    deviation per metric and the runs' test_metric. Returns (aggregate dict,
+    list of reports)."""
     if n_seeds < 2:
         raise ValueError("need at least two seeds")
+    if config.backend == "replay":
+        raise ValueError("multi-seed cannot replay: a transcript holds one seed's requests")
     reports = []
     partial = False
     for offset in range(n_seeds):
@@ -576,16 +579,22 @@ def multi_seed(config: RunConfig, n_seeds: int = 5):
             mean = sum(values) / len(values)
             std = statistics.stdev(values) if len(values) > 1 else 0.0
             summary["metrics"][name] = {"mean": mean, "std": std}
+    summary["metrics"]["test_metric"] = reports[0].metrics["test_metric"]
     return summary, reports
 
 
 def render_report_table(metrics: dict) -> str:
-    """Human-readable percentage table of the metric suite."""
+    """Human-readable percentage table of the metric suite: a run's values,
+    or a multi-seed summary's {"mean", "std"} entries as mean ± std."""
     def fmt(name, value):
+        if isinstance(value, dict):
+            if value["mean"] is None:
+                return "--"
+            return "%s ± %s" % (fmt(name, value["mean"]), fmt(name, value["std"]))
         if value is None:
             return "--"
         if name == "lf_num":
-            return "%g" % value
+            return "%g" % round(value, 2)
         return "%.2f" % (100.0 * value)
 
     rows = [("PLM_acc", "plm_acc"), ("LF_num", "lf_num"), ("LF_acc_avg", "lf_acc_avg"),

@@ -66,17 +66,11 @@ def request_to_dict(request: CompletionRequest) -> dict:
 
 
 def request_hash(request: CompletionRequest) -> str:
-    """Deterministic hash over messages + temperature + n, insensitive to
-    JSON field ordering."""
-    canonical = json.dumps(
-        {
-            "messages": [{"role": m.role, "content": m.content} for m in request.messages],
-            "temperature": request.temperature,
-            "n": request.n,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    """Deterministic hash over the messages, temperature and n entries of
+    `request_to_dict`, insensitive to JSON field ordering."""
+    fields = request_to_dict(request)
+    canonical = json.dumps({key: fields[key] for key in ("messages", "temperature", "n")},
+                           sort_keys=True, separators=(",", ":"))
     return sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -138,7 +132,6 @@ class MockOracleConfig:
     classes: list  # class names, for rendering LABEL lines
     p_label: float = 0.9
     p_keyword: float = 0.9
-    payloads_per_response: tuple = (1, 3)
     seed: int = 0
 
     def __post_init__(self):
@@ -190,9 +183,8 @@ def _draw_response(config: MockOracleConfig, analysis, task_kind: str, cot: bool
         label = gold
     else:
         label = rng.choice([c for c in range(len(config.classes)) if c != gold])
-    lo, hi = config.payloads_per_response
     payloads = []
-    for _ in range(rng.randint(lo, hi)):
+    for _ in range(rng.randint(1, 3)):
         if rng.random() < config.p_keyword and sig_bearing:
             pick = rng.choice(sig_bearing)
         elif non_sigs:
@@ -284,7 +276,8 @@ class MockBackend:
 
 
 class HttpBackend:
-    """POST to an OpenAI-style /chat/completions endpoint with bounded retry."""
+    """POST `request_to_dict` of a request, with `model` for `model_name`, to
+    an OpenAI-style /chat/completions endpoint with bounded retry."""
 
     name = "http"
 
@@ -306,13 +299,8 @@ class HttpBackend:
         self.session = session
 
     def complete(self, request: CompletionRequest):
-        body = {
-            "model": self.model_name or request.model_name,
-            "messages": [{"role": m.role, "content": m.content} for m in request.messages],
-            "temperature": request.temperature,
-            "n": request.n,
-            "max_tokens": request.max_tokens,
-        }
+        body = dict(request_to_dict(request), model=self.model_name or request.model_name)
+        del body["model_name"]
         headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(self.api_key_env)
         if api_key:
@@ -336,8 +324,10 @@ class HttpBackend:
             try:
                 choices = resp.json()["choices"]
                 texts = [c["message"]["content"] for c in choices]
-            except (KeyError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise BackendError("malformed completion response: %s" % exc)
+            if not isinstance(choices, list) or not all(isinstance(t, str) for t in texts):
+                raise BackendError("malformed completion response: no string message content")
             if len(texts) < request.n:
                 raise BackendError("endpoint returned %d responses, expected %d"
                                    % (len(texts), request.n))

@@ -339,3 +339,17 @@ def test_label_model_kind_validation():
         LabelModelKind(em_tol=0.0)
     with pytest.raises(ValueError):
         LabelModelKind(smoothing=-1.0)
+
+
+@pytest.mark.parametrize("fit", [
+    lambda entries, n_classes: majority_vote(entries, n_classes),
+    lambda entries, n_classes: weighted_vote(entries, n_classes, [0.8, 0.8]),
+    lambda entries, n_classes: dawid_skene_em(entries, n_classes),
+], ids=["majority", "weighted", "dawid_skene"])
+@pytest.mark.parametrize("bad", [-2, 3])
+def test_entries_outside_abstain_and_the_classes_rejected(fit, bad):
+    """An entry that is neither ABSTAIN nor one of the 3 classes is no vote;
+    every label model refuses it with the allowed range."""
+    entries = np.array([[0, A], [1, 2], [bad, 0]])
+    with pytest.raises(ValueError, match=r"-1\.\.2"):
+        fit(entries, 3)

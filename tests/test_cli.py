@@ -92,7 +92,34 @@ def test_multi_seed_subcommand(workdir, capsys):
     summary = json.loads(summary_path.read_text())
     assert summary["n_seeds"] == 2
     assert "test_score" in summary["metrics"]
-    assert "test_score" in capsys.readouterr().out
+    assert summary["metrics"]["test_metric"] == "accuracy"
+    # the metric table of a run, each entry as mean ± std
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].split()[0] == "Test_acc" and "±" in lines[-1]
+
+
+def test_multi_seed_offers_no_replay(workdir, capsys):
+    """A transcript holds one seed's requests, so `multi-seed` has no replay."""
+    with pytest.raises(SystemExit) as exc:
+        main(["multi-seed", "--config", workdir["config"], "--backend", "replay"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "replay" in err
+
+
+def test_report_renders_a_multi_seed_summary(tmp_path, capsys):
+    metrics = {name: {"mean": 0.875, "std": 0.0125}
+               for name in ("plm_acc", "lf_acc_avg", "lf_cov_avg", "train_cov", "test_score")}
+    metrics.update(lf_num={"mean": 12.5, "std": 0.7071}, train_acc={"mean": None, "std": None},
+                   test_metric="binary_f1")
+    summary = tmp_path / "summary.json"
+    summary.write_text(json.dumps({"n_seeds": 2, "partial": False, "metrics": metrics}))
+    assert main(["report", "--report", str(summary)]) == 0
+    rows = dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines())
+    assert rows == {"PLM_acc": "87.50 ± 1.25", "LF_num": "12.5 ± 0.71",
+                    "LF_acc_avg": "87.50 ± 1.25", "LF_cov_avg": "87.50 ± 1.25",
+                    "Train_acc": "--", "Train_cov": "87.50 ± 1.25",
+                    "Test_F1": "87.50 ± 1.25"}
 
 
 def test_eval_lfs_subcommand(workdir, capsys):

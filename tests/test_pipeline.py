@@ -588,6 +588,23 @@ class TestMultiSeed:
         with pytest.raises(ValueError):
             multi_seed(_config(corpus_paths), n_seeds=1)
 
+    def test_replay_refused_before_the_first_run(self, corpus_paths, monkeypatch, tmp_path):
+        """A transcript holds one seed's requests, so no seed after the first
+        could replay from it."""
+        transcript = str(tmp_path / "transcript.jsonl")
+        run(_config(corpus_paths, n_iterations=2, transcript_path=transcript))
+        calls = _count_calls(monkeypatch, pipeline, "run")
+        with pytest.raises(ValueError, match="one seed"):
+            multi_seed(_config(corpus_paths, backend="replay", transcript_path=transcript),
+                       n_seeds=2)
+        assert calls == []
+
+    def test_summary_names_the_runs_test_metric(self, corpus_paths):
+        summary, _ = multi_seed(_config(corpus_paths, n_iterations=2, positive_class="class1"),
+                                n_seeds=2)
+        assert summary["metrics"]["test_metric"] == "binary_f1"
+        assert "Test_F1" in render_report_table(summary["metrics"])
+
 
 class TestReportRendering:
     def test_percentages_and_missing_values(self):

@@ -23,6 +23,7 @@ from weaklab.plmclient import (
     request_to_dict,
     save_transcript,
 )
+from weaklab.pipeline import RunConfig, run
 from weaklab.prompting import ChatMessage, parse_response, render_instance
 
 
@@ -346,7 +347,8 @@ def _ok(texts):
 class TestHttpBackend:
     def _backend(self, session, **kwargs):
         kwargs.setdefault("backoff", 0.0)
-        return HttpBackend("http://example.test/v1", model_name="m", session=session, **kwargs)
+        kwargs.setdefault("model_name", "m")
+        return HttpBackend("http://example.test/v1", session=session, **kwargs)
 
     def test_success(self):
         session = _FakeSession([_ok(["LABEL: SPAM"])])
@@ -402,6 +404,57 @@ class TestHttpBackend:
         backend = self._backend(session)
         with pytest.raises(BackendError, match="expected 2"):
             backend.complete(_request(n=2))
+
+    @pytest.mark.parametrize("body", [
+        {"choices": [{"message": {"content": None}}]},
+        {"choices": [{"message": {"content": "ok"}}, {"message": {"content": None}}]},
+        {"choices": "oops"},
+        {"choices": ""},
+        {"choices": {"message": {"content": "ok"}}},
+        {"choices": [None]},
+        {"choices": [{"message": "ok"}]},
+        {"choices": [{"message": {"content": ["ok"]}}]},
+        ["choices"],
+    ], ids=["null-content", "one-null-of-two", "string", "empty-string", "object",
+            "null-choice", "string-message", "list-content", "list-body"])
+    def test_malformed_choices(self, body):
+        """Only a list of objects whose message content is a string is a
+        completion; anything else fails like a bad request."""
+        backend = self._backend(_FakeSession([_FakeResponse(200, body)]))
+        with pytest.raises(BackendError, match="malformed"):
+            backend.complete(_request(n=2))
+
+    @pytest.mark.parametrize("model_name, expected", [("m", "m"), ("", "mock")])
+    def test_posts_exactly_the_request_fields(self, model_name, expected):
+        """The body is the request's dict with `model`, from the backend or
+        else the request, in place of `model_name`."""
+        session = _FakeSession([_ok(["ok", "ok"])])
+        self._backend(session, model_name=model_name).complete(_request(n=2, temperature=0.7))
+        assert session.calls[0]["json"] == {
+            "model": expected,
+            "messages": [{"role": "system", "content": "Classify."},
+                         {"role": "user", "content": "PASSAGE: free stuff"}],
+            "temperature": 0.7, "n": 2, "max_tokens": 512}
+
+    def test_null_content_mid_run_is_a_partial_report(self, text_dataset, tmp_path):
+        """The second request's reply has a null content: the run ends
+        incomplete with a backend error, and its transcript loads and holds
+        the first exchange."""
+        annotations = tmp_path / "annotations.jsonl"
+        annotations.write_text("".join(json.dumps({"id": inst.id}) + "\n"
+                                       for inst in text_dataset.valid))
+        transcript = tmp_path / "transcript.jsonl"
+        config = RunConfig(annotations_path=str(annotations), n_iterations=3, max_opt_iters=50,
+                           backend="http", transcript_path=str(transcript))
+        session = _FakeSession([_ok(["LABEL: SPAM\nKEYWORDS: subscribe"]),
+                                _FakeResponse(200, {"choices": [{"message": {"content": None}}]})])
+        report = run(config, backend=self._backend(session), dataset=text_dataset)
+        assert not report.complete
+        assert report.warning.startswith("backend error at iteration 2: malformed")
+        assert len(report.iterations) == 1
+        records = load_transcript(transcript).records
+        assert [r.responses for r in records] == [["LABEL: SPAM\nKEYWORDS: subscribe"]]
+        assert records[0].request["messages"] == session.calls[0]["json"]["messages"]
 
 
 def test_complete_enforces_response_count():
