@@ -160,6 +160,9 @@ def load_schema(schema_path):
     classes = schema.get("classes")
     if not isinstance(classes, list) or len(classes) < 2:
         raise LoadError("schema: need at least two classes")
+    for name in classes:
+        if not isinstance(name, str):
+            raise LoadError("schema: class name %r is not a string" % (name,))
     if len(set(classes)) != len(classes):
         raise LoadError("schema: duplicate class names")
     default_name = schema.get("default_class")

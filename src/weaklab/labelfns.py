@@ -263,18 +263,6 @@ class KeywordIndex:
     ids = property(lambda self: self._interned[1])
     indptr = property(lambda self: self._interned[2])
 
-    @functools.cached_property
-    def padded_ids(self) -> np.ndarray:
-        """Rows × longest-row id matrix, each row's ids left-aligned in order
-        and padded with `len(gram_ids)`, an id no gram has; column-major, so
-        each gram position is one contiguous column."""
-        lengths = np.diff(self.indptr)
-        out = np.full((len(self.instances), int(lengths.max(initial=0))), len(self.gram_ids),
-                      dtype=self.ids.dtype, order="F")
-        rows = np.repeat(np.arange(len(self.instances)), lengths)
-        out[rows, np.arange(len(self.ids)) - self.indptr[rows]] = self.ids
-        return out
-
     def _match(self, lf: LabelFunction) -> np.ndarray:
         hits = np.zeros(len(self.instances), dtype=bool)
         if lf.kind == KEYWORD:

@@ -25,7 +25,7 @@ except ImportError:
         from hashlib import sha256
 
 from .corpus import RELATION_TASK, extract_ngrams, read_jsonl, tokenize
-from .prompting import render_response
+from .prompting import render_instance, render_response
 
 
 class BackendError(RuntimeError):
@@ -159,7 +159,7 @@ def _analyse_passage(config: MockOracleConfig, instance):
     grams = extract_ngrams(tokenize(instance.text), 1, 3)
     gram_set = set(grams)
     all_signatures = {s for sigs in config.signatures.values() for s in sigs}
-    present_sigs = [s for s in config.signatures[gold] if s in gram_set]
+    present_sigs = [s for s in config.signatures.get(gold, []) if s in gram_set]
     # Grounded payloads: any passage n-gram carrying one of the gold class's
     # signatures (a competent annotator varies the surrounding context).
     # Hallucinated payloads: single passage tokens, frequent enough to be
@@ -216,13 +216,13 @@ def _mock_response(label_name: str, task_kind: str, payloads, cot: bool) -> str:
 class MockBackend:
     """Deterministic offline stand-in for a hosted chat model.
 
-    The query instance is recovered from the final user message: its
-    PASSAGE line and, for relation tasks, its ENTITY1 and ENTITY2 lines,
-    everything `prompting.render_instance` writes of an instance. A model
-    cannot tell apart instances whose renderings are identical, so the mock
-    answers all of them as the one with the lowest id. A LABEL line in that
-    message marks an annotation request, which is answered with the given
-    label and the planted signatures found in the passage.
+    The query instance is recovered from the final user message, which is
+    the instance's `prompting.render_instance` for a task request. For an
+    annotation request it is that rendering, then a LABEL line, then one
+    instruction line; the request is answered with the given label and the
+    planted signatures found in the passage. A model cannot tell apart
+    instances whose renderings are identical, so the mock answers all of
+    them as the one with the lowest id.
     """
 
     name = "mock"
@@ -232,13 +232,7 @@ class MockBackend:
         self.task_kind = task_kind
         self._by_rendering = {}
         for inst in sorted(instances, key=lambda inst: inst.id):
-            self._by_rendering.setdefault(self._rendering(inst), inst)
-
-    def _rendering(self, instance):
-        """The PASSAGE, ENTITY1 and ENTITY2 values a prompt shows of `instance`."""
-        if self.task_kind != RELATION_TASK or instance.entity1 is None:
-            return instance.text, None, None
-        return instance.text, instance.entity1.text, instance.entity2.text
+            self._by_rendering.setdefault(render_instance(inst, task_kind), inst)
 
     def _lookup(self, request: CompletionRequest):
         last_user = None
@@ -247,15 +241,12 @@ class MockBackend:
                 last_user = message.content
         if last_user is None:
             raise BackendError("request has no user message")
-        fields = {}
-        for line in last_user.splitlines():
-            key, sep, value = line.partition(": ")
-            if sep and key in ("PASSAGE", "ENTITY1", "ENTITY2", "LABEL"):
-                fields[key] = value
-        rendering = (fields.get("PASSAGE"), fields.get("ENTITY1"), fields.get("ENTITY2"))
+        if last_user in self._by_rendering:
+            return self._by_rendering[last_user], None
+        rendering, _, rest = last_user.rpartition("\nLABEL: ")
         if rendering not in self._by_rendering:
             raise BackendError("mock backend cannot identify the query instance")
-        return self._by_rendering[rendering], fields.get("LABEL")
+        return self._by_rendering[rendering], rest.partition("\n")[0]
 
     def complete(self, request: CompletionRequest):
         instance, given_label = self._lookup(request)

@@ -114,8 +114,10 @@ def system_message(dataset: Dataset, cot: bool, task_description: Optional[str] 
 
 
 def render_instance(instance: Instance, task_kind: str) -> str:
+    """What a prompt shows of an instance: its passage and, for a relation
+    task instance with entities, both entities and the question."""
     lines = ["PASSAGE: %s" % instance.text]
-    if task_kind == RELATION_TASK:
+    if task_kind == RELATION_TASK and instance.entity1 is not None:
         lines.append("ENTITY1: %s" % instance.entity1.text)
         lines.append("ENTITY2: %s" % instance.entity2.text)
         lines.append("What is the relationship between ENTITY1 and ENTITY2?")

@@ -89,33 +89,24 @@ def expected_utility(candidates) -> float:
     return sum((a / total) * (a * ncov) for a, ncov in candidates)
 
 
-def _row_sum(table: np.ndarray) -> np.ndarray:
-    """The sum of a table's rows, added first to last."""
-    total = np.zeros(table.shape[1])
-    for row in table:
-        total += row
-    return total
-
-
 class SeuScores:
     """SEU scores of train rows under one set of inputs, and those inputs.
 
     The inputs are `seu_sampler`'s index, labels, uncovered mask, accuracy
     map and prior, copied so that a caller changing its own arrays in place
-    is seen as a change. From them come each gram's new coverage (`cover`,
-    0 for the padding id) and each (label, gram) accuracy (`table`, 0 for
-    the padding id). `scores` holds a score for each row `scored` marks.
+    is seen as a change. From them come each gram's new coverage (`cover`)
+    and each (label, gram) accuracy (`table`). `scores` holds a score for
+    each row `scored` marks.
     """
 
     def __init__(self, index: KeywordIndex, labels, uncovered, accuracy, prior: float):
         self.index, self.accuracy, self.prior = index, dict(accuracy), float(prior)
         self.labels, self.uncovered = np.array(labels), np.array(uncovered)
-        pad = len(index.gram_ids)  # the padding id: no gram, accuracy 0, covers nothing
+        n_grams = len(index.gram_ids)
         self.cover = np.bincount(index.ids[np.repeat(self.uncovered, np.diff(index.indptr))],
-                                 minlength=pad + 1)
+                                 minlength=n_grams)
         n_labels = int(self.labels.max()) + 1
-        self.table = np.full((n_labels, pad + 1), self.prior)
-        self.table[:, pad] = 0.0
+        self.table = np.full((n_labels, n_grams), self.prior)
         for (gram, label), acc in self.accuracy.items():
             gram_id = index.gram_ids.get(gram)
             if gram_id is not None and 0 <= label < n_labels:
@@ -133,12 +124,17 @@ class SeuScores:
         """The scores of `rows`, working out those not scored yet."""
         fresh = rows[~self.scored[rows]]
         if len(fresh):
-            pad = len(self.index.gram_ids)
-            grams = self.index.padded_ids.T[:, fresh].astype(np.intp)  # gram position × row
-            acc = self.table.ravel()[self.labels[fresh] * (pad + 1) + grams]  # table[labels, grams]
-            total = _row_sum(acc)
+            starts = self.index.indptr[fresh]
+            lengths = self.index.indptr[fresh + 1] - starts
+            owner = np.repeat(np.arange(len(fresh)), lengths)  # the fresh row of each gram
+            # a gram's place in `ids`: its row's start plus its rank in the row
+            at = np.arange(len(owner)) - np.repeat(np.cumsum(lengths) - lengths - starts, lengths)
+            grams = self.index.ids[at]
+            acc = self.table[self.labels[fresh][owner], grams]
+            total = np.bincount(owner, weights=acc, minlength=len(fresh))
             positive = total > 0
-            utility = _row_sum((acc / np.where(positive, total, 1.0)) * (acc * self.cover[grams]))
+            terms = (acc / np.where(positive, total, 1.0)[owner]) * (acc * self.cover[grams])
+            utility = np.bincount(owner, weights=terms, minlength=len(fresh))
             self.scores[fresh] = np.where(positive, utility, 0.0)
             self.scored[fresh] = True
         return self.scores[rows].tolist()
@@ -155,21 +151,20 @@ def seu_sampler(state: SelectionState, index: KeywordIndex, labels, uncovered, a
     row's label, with the accuracy `accuracy` gives that (gram, label) or
     `prior`, and covering the uncovered rows that hold the gram. The score
     is `expected_utility` of the candidates, computed for many rows at once
-    from tables of accuracies and utility terms gathered through
-    `index.padded_ids`: a row per gram position of the split's longest row
-    and a column per scored row (0.2 MB each for 350 rows of at most 75
-    grams, not rows × all grams). Sums add the table rows first to last,
-    in `extract_ngrams` order, so every score equals Python's left-to-right
-    `sum` bit for bit. A pool longer than `pool_cap` is cut to its first
-    `pool_cap` rows, or with `rng` to a sample of that many, kept in pool
-    order.
+    from the rows' gram ids, read straight from the index's CSR arrays
+    (`ids`, `indptr`), so the arrays it builds are the size of the scored
+    rows' n-grams. `np.bincount` sums each row's accuracies and utility
+    terms first to last, in `extract_ngrams` order, so every score equals
+    Python's left-to-right `sum` bit for bit. A pool longer than
+    `pool_cap` is cut to its first `pool_cap` rows, or with `rng` to a
+    sample of that many, kept in pool order.
 
     Scores are kept on `state` (`SeuScores`) with the inputs they came
     from, and reused while the next call passes equal inputs: only pool
     rows not scored under them are scored, such as rows first drawn into a
     capped sample. Any changed input drops every kept score. Reuse is
     exact: a row's score is made of elementwise operations, gathers and
-    `_row_sum`'s in-order adds over that row's own column, with no BLAS
+    `np.bincount`'s in-order adds over that row's own grams, with no BLAS
     call, so it is the same bits whichever other rows are scored with it.
     """
     if not state.pool:

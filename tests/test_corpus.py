@@ -124,6 +124,19 @@ def test_load_dataset_text_task_rejects_entities(tmp_path):
         corpus.load_dataset(*_paths(tmp_path, [], [rec], []), _schema(tmp_path))
 
 
+@pytest.mark.parametrize("task, classes, default, match", [
+    ("image", ("HAM", "SPAM"), None, "task must be"),
+    ("text", ("HAM",), None, "at least two classes"),
+    ("text", ("HAM", "HAM"), None, "duplicate class names"),
+    ("text", (0, 1), None, "class name 0 is not a string"),
+    ("relation", ("NONE", ["REL"]), None, r"class name \['REL'\] is not a string"),
+    ("text", ("HAM", "SPAM"), "EGGS", "default_class 'EGGS' not in classes"),
+])
+def test_load_schema_rejects(tmp_path, task, classes, default, match):
+    with pytest.raises(LoadError, match=match):
+        corpus.load_schema(_schema(tmp_path, task=task, classes=classes, default=default))
+
+
 def test_default_class_resolved_from_name(tmp_path):
     ds = corpus.load_dataset(*_paths(tmp_path, [], [{"id": 1, "text": "a", "label": 0}],
                                      [{"id": 2, "text": "b", "label": 1}]),

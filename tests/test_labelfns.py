@@ -265,14 +265,10 @@ class TestKeywordIndex:
         index = KeywordIndex(rows)
         assert list(index.gram_ids.values()) == list(range(len(index.gram_ids)))
         grams = list(index.gram_ids)
-        pad = len(grams)
         for i, row in enumerate(rows):
             want = extract_ngrams(tokenize(row.text), 1, 3)
             ids = index.ids[index.indptr[i]:index.indptr[i + 1]]
             assert [grams[k] for k in ids] == want
-            padded = index.padded_ids[i].tolist()
-            assert padded == ids.tolist() + [pad] * (index.padded_ids.shape[1] - len(ids))
-        assert index.padded_ids.shape == (len(rows), max(index.indptr[1:] - index.indptr[:-1]))
 
     def test_repeated_votes_are_memoized_per_index(self, monkeypatch):
         calls = []

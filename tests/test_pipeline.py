@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -200,6 +201,22 @@ class TestRun:
         assert not report.complete
         assert "backend error" in report.warning
         assert len(report.iterations) == 3
+
+    def test_train_passages_that_span_lines_run_to_the_end(self, corpus_paths):
+        dataset = load_dataset(corpus_paths["train_path"], corpus_paths["valid_path"],
+                               corpus_paths["test_path"], corpus_paths["schema_path"])
+        dataset.train = [dataclasses.replace(inst, text=inst.text.replace(" ", "\n", 1))
+                         for inst in dataset.train]
+        assert all("\n" in inst.text for inst in dataset.train)
+        report = run(_config(corpus_paths, n_iterations=5), dataset=dataset)
+        assert report.complete and report.warning is None
+        assert len(report.iterations) == 5
+
+    def test_a_class_without_signatures_is_answered_from_hallucinations(self, corpus_paths):
+        signatures = {"class1": corpus_paths["signatures"]["class1"]}
+        report = run(_config(corpus_paths, mock_signatures=signatures, n_iterations=5))
+        assert report.complete and report.warning is None
+        assert len(report.iterations) == 5
 
     def test_report_written_to_disk(self, corpus_paths, tmp_path):
         path = str(tmp_path / "report.json")

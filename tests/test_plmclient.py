@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from weaklab import plmclient
-from weaklab.corpus import EntitySpan, Instance, TEXT_TASK, RELATION_TASK
+from weaklab.corpus import Dataset, EntitySpan, Instance, TEXT_TASK, RELATION_TASK
 from weaklab.plmclient import (
     BackendError,
     CompletionRequest,
@@ -24,7 +24,8 @@ from weaklab.plmclient import (
     save_transcript,
 )
 from weaklab.pipeline import RunConfig, run
-from weaklab.prompting import ChatMessage, parse_response, render_instance
+from weaklab.prompting import (ChatMessage, build_annotation_prompt, parse_response,
+                               render_instance)
 
 
 def _request(text="PASSAGE: free stuff", n=1, temperature=0.0):
@@ -195,6 +196,27 @@ class TestMockBackend:
             responses = backend.complete(_request(render_instance(inst, RELATION_TASK)))
             assert responses == [mock_oracle_respond(config, inst, RELATION_TASK, cot=False)]
             assert parse_response(responses[0], RELATION_TASK, config.classes).label == \
+                inst.gold_label
+
+    @pytest.mark.parametrize("task_kind", [TEXT_TASK, RELATION_TASK])
+    def test_passages_that_span_lines_are_answered_as_their_own_instance(self, task_kind):
+        # both passages start with the same line; only the lines after it differ
+        texts = ["alice met bob\nget free stuff today", "alice met bob\nwhat a great song"]
+        entities = {}
+        if task_kind == RELATION_TASK:
+            entities = dict(entity1=EntitySpan("alice", 0, 5), entity2=EntitySpan("bob", 10, 13))
+        instances = [Instance(id=row, text=text, gold_label=1 - row, **entities)
+                     for row, text in enumerate(texts)]
+        config = _oracle_config()
+        backend = MockBackend(config, instances, task_kind)
+        dataset = Dataset(task_kind=task_kind, classes=config.classes, default_class=None)
+        for inst in instances:
+            responses = backend.complete(_request(render_instance(inst, task_kind)))
+            assert responses == [mock_oracle_respond(config, inst, task_kind, cot=False)]
+            annotation = build_annotation_prompt(dataset, inst, cot=False)
+            responses = backend.complete(CompletionRequest(messages=annotation))
+            assert responses == [backend._annotate(inst, config.classes[inst.gold_label])]
+            assert parse_response(responses[0], task_kind, config.classes).label == \
                 inst.gold_label
 
     @pytest.mark.parametrize("task_kind", [TEXT_TASK, RELATION_TASK])

@@ -1,19 +1,18 @@
-import functools
 import math
-import operator
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weaklab import select
 from weaklab.corpus import Instance, extract_ngrams, tokenize
 from weaklab.downstream import LinearModel, predict_proba
 from weaklab.labelfns import KeywordIndex
 from weaklab.select import (
     PoolExhausted,
     SelectionState,
+    SeuScores,
     entropy,
     entropy_rows,
     expected_utility,
@@ -236,25 +235,31 @@ def _reference_candidates(instance, label, accuracy, prior, cover_count):
             for gram in extract_ngrams(tokenize(instance.text), 1, 3)]
 
 
-def _reference_seu_pick(state, train, labels, uncovered, accuracy, prior, pool_cap=None,
-                        rng=None):
-    """The per-row SEU scan: tokenize every uncovered and every pool row, score
-    each pool row with `expected_utility` in pool order, and keep the first of
-    scores within 1e-12 of each other. A capped pool is an `rng.sample` of the
-    pool, put back in pool order."""
-    pool = state.pool
-    if pool_cap is not None and len(pool) > pool_cap:
-        pool = pool[:pool_cap] if rng is None else sorted(rng.sample(pool, pool_cap),
-                                                          key=pool.index)
+def _reference_scores(train, labels, uncovered, accuracy, prior, rows):
+    """`expected_utility` of each of `rows`, from tokenizing every uncovered
+    row and every scored row."""
     uncovered_grams = {}
     for row, inst in enumerate(train):
         if uncovered[row]:
             for gram in set(extract_ngrams(tokenize(inst.text), 1, 3)):
                 uncovered_grams[gram] = uncovered_grams.get(gram, 0) + 1
+    return [expected_utility(_reference_candidates(
+        train[row], labels[row], accuracy, prior, lambda gram: uncovered_grams.get(gram, 0)))
+        for row in rows]
+
+
+def _reference_seu_pick(state, train, labels, uncovered, accuracy, prior, pool_cap=None,
+                        rng=None):
+    """The per-row SEU scan: score each pool row with `_reference_scores` in
+    pool order, and keep the first of scores within 1e-12 of each other. A
+    capped pool is an `rng.sample` of the pool, put back in pool order."""
+    pool = state.pool
+    if pool_cap is not None and len(pool) > pool_cap:
+        pool = pool[:pool_cap] if rng is None else sorted(rng.sample(pool, pool_cap),
+                                                          key=pool.index)
+    scores = _reference_scores(train, labels, uncovered, accuracy, prior, pool)
     best_row, best_score = None, -math.inf
-    for row in pool:
-        score = expected_utility(_reference_candidates(
-            train[row], labels[row], accuracy, prior, lambda gram: uncovered_grams.get(gram, 0)))
+    for row, score in zip(pool, scores):
         if score > best_score + 1e-12:
             best_row, best_score = row, score
     return state.take(best_row)
@@ -272,8 +277,7 @@ _ACCURACIES = st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.6, 2 / 3, 0.7, 0.9, 1.0])
 def seu_cases(draw, uneven=False):
     """Train rows with unique ids in drawn order, and the pool as the rows in
     id order, as `pipeline.run` builds it. With `uneven`, one row has 20-40
-    tokens and the others at most two, so the sampler's gram position × pool
-    tables are mostly padding."""
+    tokens and the others at most two."""
     n_classes = draw(st.sampled_from([2, 3]))
     ids = draw(st.lists(st.integers(0, 60), min_size=1, max_size=12, unique=True))
     sizes = [(0, 6)] * len(ids)
@@ -297,14 +301,36 @@ def seu_cases(draw, uneven=False):
     return train, labels, uncovered, accuracy, prior, pool_cap, draw(st.integers(0, 10)), pool
 
 
-# SEU adds a row's terms in gram order, as `expected_utility`'s `sum` does;
-# numpy's `sum(axis=0)` pairs the terms of a single column up instead
+# `expected_utility` adds a row's terms left to right; numpy's `sum` pairs
+# terms up instead, so these scores are compared with `==`
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 4).flatmap(lambda n: st.lists(
-    st.lists(st.floats(0, 1e6), min_size=n, max_size=n), min_size=1, max_size=80)))
-def test_row_sum_adds_the_rows_in_order(rows):
-    want = [functools.reduce(operator.add, column, 0.0) for column in zip(*rows)]
-    assert select._row_sum(np.array(rows)).tolist() == want
+@given(seu_cases(uneven=True))
+def test_scores_equal_expected_utility_bit_for_bit(case):
+    train, labels, uncovered, accuracy, prior, _, _, pool = case
+    want = _reference_scores(train, labels, uncovered, accuracy, prior, pool)
+    scores = SeuScores(KeywordIndex(train), labels, uncovered, accuracy, prior)
+    assert scores.of(np.array(pool, dtype=np.int64)) == want
+
+
+def test_one_long_row_does_not_inflate_a_pick():
+    # one 3,000-token row among 399 of 6 tokens: scoring the pool holds
+    # arrays the size of its rows' grams, not rows x the longest row's grams
+    rng = random.Random(0)
+    words = ["w%d" % k for k in range(50)]
+    texts = [" ".join(rng.choices(words, k=6)) for _ in range(399)]
+    texts.insert(200, " ".join("long%d" % k for k in range(3000)))
+    index = _index(*texts)
+    index.ids  # interned before tracing: the split's index is built once per run
+    labels = np.array([rng.randrange(2) for _ in texts], dtype=np.int64)
+    uncovered = np.array([rng.random() < 0.5 for _ in texts])
+    state = SelectionState(pool=list(range(len(texts))))
+    tracemalloc.start()
+    try:
+        seu_sampler(state, index, labels, uncovered, {("w1", 0): 0.9})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, "SEU pick peaked at %.1f MB" % (peak / 2**20)
 
 
 class TestSeuMatchesPerRowScan:
