@@ -22,7 +22,12 @@ LFs; then over the relation corpus, for six hand-written pattern LFs: the
 mock's shape and five it never writes (a multi-word gram, a placeholder
 inside an atomic group, a top-level branch, no literal, a verbose
 template). Text corpora come from `generate_synthetic` at the size the
-test suite uses (80/40/40).
+test suite uses (80/40/40). On the binary corpus three more points run the
+paths the grid above leaves out: KATE in-context selection with
+chain-of-thought prompting, over embeddings the script writes from fixed
+arithmetic on each instance; binary F1 with `positive_class` "class1"; and
+a self-consistency run recorded to a transcript, then replayed from it,
+whose two digests must be equal.
 
 Run from the root of a checkout; `src` may come from another checkout:
     PYTHONPATH=src python3 scripts/report_digests.py > digests.txt
@@ -73,6 +78,19 @@ def write_relation_corpus(root, name):
     return out, corpus, corpus.signatures, {**paths, "mock_signatures": corpus.signatures}
 
 
+def write_embeddings(out, dataset):
+    """One vector per instance: a constant, its id mod 7 and its count of
+    each class's signature tokens."""
+    path = os.path.join(out, "embeddings.jsonl")
+    with open(path, "w", encoding="utf-8") as fh:
+        for inst in dataset.all_instances():
+            tokens = inst.text.split()
+            vector = [1, inst.id % 7] + [sum(t.startswith("sig%dx" % c) for t in tokens)
+                                         for c in range(dataset.n_classes)]
+            fh.write(json.dumps({"id": inst.id, "vector": vector}) + "\n")
+    return path
+
+
 def digest(text, mask):
     return hashlib.sha256(text.replace(mask, "<corpus>").encode()).hexdigest()[:16]
 
@@ -115,11 +133,27 @@ def main():
                    for lm, s in itertools.product(("weighted", "dawid_skene"),
                                                   ("uncertainty", "seu"))]
 
+        out, dataset, _, _ = corpora["binary"]
+        points += [("binary", dict(ic_mode="kate", prompt_method="cot",
+                                   embeddings_path=write_embeddings(out, dataset))),
+                   ("binary", dict(positive_class="class1"))]
+
         for corpus_name, overrides in points:
             out, _, _, base = corpora[corpus_name]
             report = run(RunConfig.from_dict({**base, **common, **overrides}))
             label = " ".join("%s=%s" % kv for kv in sorted(overrides.items()))
-            print("run %-8s %-90s %s" % (corpus_name, label, digest(report.to_json(), out)))
+            print("run %-8s %-90s %s" % (corpus_name, label.replace(out, "<corpus>"),
+                                         digest(report.to_json(), out)))
+
+        # the replay serves every request from the transcript the first run wrote
+        out, _, _, base = corpora["binary"]
+        transcript = os.path.join(root, "transcript.jsonl")
+        for backend, label in (("mock", "recorded"), ("replay", "replayed")):
+            report = run(RunConfig.from_dict({**base, **common, "backend": backend,
+                                              "prompt_method": "self_consistency",
+                                              "transcript_path": transcript}))
+            label = "prompt_method=self_consistency transcript=%s" % label
+            print("run %-8s %-90s %s" % ("binary", label, digest(report.to_json(), out)))
 
         out, dataset, signatures, base = corpora["sparse"]
         payloads = [(sig, dataset.classes.index(name))

@@ -54,6 +54,8 @@ def cmd_eval_lfs(args):
     config = pipeline.RunConfig.from_file(args.config)
     dataset = corpus.load_dataset(config.train_path, config.valid_path,
                                   config.test_path, config.schema_path)
+    positive = (pipeline.class_index(dataset, "positive_class", config.positive_class)
+                if config.positive_class is not None else None)
     lfs = labelfns.load_lfs(args.lfs, dataset.classes, dataset.task_kind)
     train_matrix = labelfns.build_matrix(lfs, dataset.train)
     valid_matrix = labelfns.build_matrix(lfs, dataset.valid)
@@ -63,8 +65,6 @@ def cmd_eval_lfs(args):
                                  min_df=config.min_df, max_features=config.max_features)
     X_train = downstream.featurize_all(space, [i.text for i in dataset.train])
     problabels, model = pipeline.refit(config, dataset, train_matrix, valid_accuracies, X_train)
-    positive = (dataset.classes.index(config.positive_class)
-                if config.positive_class is not None else None)
     metrics = pipeline.compute_metrics(dataset, lfs, train_matrix, problabels, model,
                                        space, [], positive)
     if args.report:

@@ -154,17 +154,22 @@ def load_schema(schema_path):
             schema = json.load(fh)
         except json.JSONDecodeError as exc:
             raise LoadError("schema %s: invalid JSON (%s)" % (schema_path, exc))
+    if not isinstance(schema, dict):
+        raise LoadError("schema %s: not a JSON object" % schema_path)
     task = schema.get("task")
     if task not in (TEXT_TASK, RELATION_TASK):
         raise LoadError("schema: task must be 'text' or 'relation', got %r" % task)
     classes = schema.get("classes")
     if not isinstance(classes, list) or len(classes) < 2:
         raise LoadError("schema: need at least two classes")
+    folded = {}  # parse_response matches a response's label case-insensitively
     for name in classes:
         if not isinstance(name, str):
             raise LoadError("schema: class name %r is not a string" % (name,))
-    if len(set(classes)) != len(classes):
-        raise LoadError("schema: duplicate class names")
+        if name.lower() in folded:
+            raise LoadError("schema: duplicate class names %r and %r (case-insensitive)"
+                            % (folded[name.lower()], name))
+        folded[name.lower()] = name
     default_name = schema.get("default_class")
     default_class = None
     if default_name is not None:

@@ -217,11 +217,19 @@ def _load_annotations(path) -> dict:
     return annotations
 
 
+def class_index(dataset: Dataset, field_name: str, name) -> int:
+    """The index of the class that config field `field_name` names."""
+    if name not in dataset.classes:
+        raise ValueError("%s %r is not a class of the schema (classes: %s)"
+                         % (field_name, name, ", ".join(dataset.classes)))
+    return dataset.classes.index(name)
+
+
 def build_backend(config: RunConfig, dataset: Dataset):
     if config.backend == "mock":
         gold = {inst.id: inst.gold_label for inst in dataset.all_instances()
                 if inst.gold_label is not None}
-        signatures = {dataset.classes.index(name): list(sigs)
+        signatures = {class_index(dataset, "mock_signatures", name): list(sigs)
                       for name, sigs in config.mock_signatures.items()}
         mock_config = plmclient.MockOracleConfig(
             gold=gold, signatures=signatures, classes=list(dataset.classes),
@@ -337,7 +345,7 @@ def run(config: RunConfig, backend=None, dataset: Optional[Dataset] = None) -> R
         backend = plmclient.TranscriptBackend(transcript, backend)
 
     rng = random.Random(config.seed)
-    positive_class = (dataset.classes.index(config.positive_class)
+    positive_class = (class_index(dataset, "positive_class", config.positive_class)
                       if config.positive_class is not None else None)
 
     def ask(messages, temperature, n):
@@ -527,25 +535,26 @@ def generate_synthetic(n_train: int, n_valid: int, n_test: int, n_classes: int =
 
 
 def write_synthetic(out_dir, dataset: Dataset, signatures_by_name: dict, annotations: dict):
-    """Persist a synthetic corpus in the standard file layout."""
+    """Persist a synthetic corpus in the standard file layout, plus a runnable
+    `config.json` holding its five data paths and `mock_signatures`. Returns
+    the five paths, as written into the config, and `config_path`."""
     import os
 
     os.makedirs(out_dir, exist_ok=True)
-    paths = {name: os.path.join(out_dir, "%s.jsonl" % name) for name in ("train", "valid", "test")}
-    schema_path = os.path.join(out_dir, "schema.json")
-    corpus.save_dataset(dataset, paths["train"], paths["valid"], paths["test"], schema_path)
-    annotations_path = os.path.join(out_dir, "annotations.jsonl")
-    with open(annotations_path, "w", encoding="utf-8") as fh:
+    paths = {"%s_path" % name: os.path.join(out_dir, "%s.jsonl" % name)
+             for name in ("train", "valid", "test", "annotations")}
+    paths["schema_path"] = os.path.join(out_dir, "schema.json")
+    corpus.save_dataset(dataset, paths["train_path"], paths["valid_path"], paths["test_path"],
+                        paths["schema_path"])
+    with open(paths["annotations_path"], "w", encoding="utf-8") as fh:
         for iid in sorted(annotations):
             fh.write(json.dumps(annotations[iid], sort_keys=True))
             fh.write("\n")
-    oracle_path = os.path.join(out_dir, "oracle.json")
-    with open(oracle_path, "w", encoding="utf-8") as fh:
-        json.dump({"mock_signatures": signatures_by_name}, fh, sort_keys=True, indent=2)
+    config_path = os.path.join(out_dir, "config.json")
+    with open(config_path, "w", encoding="utf-8") as fh:
+        json.dump({**paths, "mock_signatures": signatures_by_name}, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    return {"train_path": paths["train"], "valid_path": paths["valid"],
-            "test_path": paths["test"], "schema_path": schema_path,
-            "annotations_path": annotations_path, "oracle_path": oracle_path}
+    return {**paths, "config_path": config_path}
 
 
 # --------------------------------------------------------------------------

@@ -15,19 +15,8 @@ def workdir(tmp_path_factory):
     corpus_dir = root / "corpus"
     assert main(["synth", "--out", str(corpus_dir), "--n-train", "60",
                  "--n-valid", "30", "--n-test", "20", "--seed", "0"]) == 0
-    with open(corpus_dir / "oracle.json") as fh:
-        signatures = json.load(fh)["mock_signatures"]
-    config = {
-        "train_path": str(corpus_dir / "train.jsonl"),
-        "valid_path": str(corpus_dir / "valid.jsonl"),
-        "test_path": str(corpus_dir / "test.jsonl"),
-        "schema_path": str(corpus_dir / "schema.json"),
-        "annotations_path": str(corpus_dir / "annotations.jsonl"),
-        "mock_signatures": signatures,
-        "n_iterations": 5,
-        "max_opt_iters": 100,
-        "grad_tol": 1e-4,
-    }
+    with open(corpus_dir / "config.json") as fh:
+        config = {**json.load(fh), "n_iterations": 5, "max_opt_iters": 100, "grad_tol": 1e-4}
     config_path = root / "config.json"
     config_path.write_text(json.dumps(config))
     return {"root": root, "config": str(config_path), "corpus": corpus_dir,
@@ -151,13 +140,9 @@ def noisy_lfs(tmp_path_factory):
     corpus_dir = root / "corpus"
     assert main(["synth", "--out", str(corpus_dir), "--n-train", "60", "--n-valid", "30",
                  "--n-test", "20", "--q", "0.3", "--noise-vocab", "30", "--seed", "0"]) == 0
-    with open(corpus_dir / "oracle.json") as fh:
-        signatures = json.load(fh)["mock_signatures"]
-    config = {"train_path": str(corpus_dir / "train.jsonl"),
-              "valid_path": str(corpus_dir / "valid.jsonl"),
-              "test_path": str(corpus_dir / "test.jsonl"),
-              "schema_path": str(corpus_dir / "schema.json"),
-              "max_opt_iters": 100, "grad_tol": 1e-4}
+    with open(corpus_dir / "config.json") as fh:
+        config = {**json.load(fh), "max_opt_iters": 100, "grad_tol": 1e-4}
+    signatures = config.pop("mock_signatures")
     dataset = load_dataset(config["train_path"], config["valid_path"],
                            config["test_path"], config["schema_path"])
     payloads = [(sig, dataset.classes.index(name))
@@ -221,6 +206,28 @@ def test_eval_lfs_passes_em_restarts(noisy_lfs, monkeypatch):
     monkeypatch.setattr(aggregate, "dawid_skene_em", recording_fit)
     noisy_lfs["eval_lfs"](label_model="dawid_skene", em_restarts=5, em_max_iters=40)
     assert [(k.em_restarts, k.em_max_iters) for k in kinds] == [(5, 40)]
+
+
+def test_eval_lfs_names_an_unknown_positive_class(noisy_lfs):
+    with pytest.raises(ValueError, match=r"positive_class 'nope' is not a class of the "
+                                         r"schema \(classes: class0, class1\)"):
+        noisy_lfs["eval_lfs"](positive_class="nope")
+
+
+def test_synth_config_runs_as_written(tmp_path, capsys):
+    """`synth` writes a config.json that `run` takes with no other file."""
+    out = tmp_path / "corpus"
+    assert main(["synth", "--out", str(out), "--n-train", "60", "--n-valid", "30",
+                 "--n-test", "20"]) == 0
+    assert "config_path: %s" % (out / "config.json") in capsys.readouterr().out.splitlines()
+    report_path = tmp_path / "report.json"
+    assert main(["run", "--config", str(out / "config.json"),
+                 "--report", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    assert report["complete"] is True and report["warning"] is None
+    assert len(report["iterations"]) == 50  # the RunConfig default
+    assert report["config"]["train_path"] == str(out / "train.jsonl")
+    assert report["metrics"]["lf_num"] >= 1 and report["metrics"]["test_score"] is not None
 
 
 def test_report_subcommand(workdir, capsys):

@@ -131,10 +131,19 @@ def test_load_dataset_text_task_rejects_entities(tmp_path):
     ("text", (0, 1), None, "class name 0 is not a string"),
     ("relation", ("NONE", ["REL"]), None, r"class name \['REL'\] is not a string"),
     ("text", ("HAM", "SPAM"), "EGGS", "default_class 'EGGS' not in classes"),
+    # responses name their label case-insensitively, so these two would collide
+    ("text", ("Spam", "spam"), None, "duplicate class names 'Spam' and 'spam'"),
 ])
 def test_load_schema_rejects(tmp_path, task, classes, default, match):
     with pytest.raises(LoadError, match=match):
         corpus.load_schema(_schema(tmp_path, task=task, classes=classes, default=default))
+
+
+def test_load_schema_rejects_a_schema_that_is_not_an_object(tmp_path):
+    path = tmp_path / "schema.json"
+    path.write_text('["text"]')
+    with pytest.raises(LoadError, match="not a JSON object"):
+        corpus.load_schema(path)
 
 
 def test_default_class_resolved_from_name(tmp_path):

@@ -37,18 +37,9 @@ def corpus_paths(tmp_path_factory):
 
 
 def _config(corpus_paths, **overrides):
-    base = dict(
-        train_path=corpus_paths["train_path"],
-        valid_path=corpus_paths["valid_path"],
-        test_path=corpus_paths["test_path"],
-        schema_path=corpus_paths["schema_path"],
-        annotations_path=corpus_paths["annotations_path"],
-        mock_signatures=corpus_paths["signatures"],
-        n_iterations=8,
-        max_opt_iters=150,
-        grad_tol=1e-4,
-        seed=0,
-    )
+    with open(corpus_paths["config_path"]) as fh:
+        base = json.load(fh)
+    base.update(n_iterations=8, max_opt_iters=150, grad_tol=1e-4, seed=0)
     base.update(overrides)
     return RunConfig.from_dict(base)
 
@@ -116,8 +107,12 @@ class TestSyntheticCorpus:
                                corpus_paths["test_path"], corpus_paths["schema_path"])
         assert len(dataset.train) == 80
         assert os.path.exists(corpus_paths["annotations_path"])
-        with open(corpus_paths["oracle_path"]) as fh:
+        with open(corpus_paths["config_path"]) as fh:
             assert "mock_signatures" in json.load(fh)
+        data_paths = {k: corpus_paths[k] for k in ("train_path", "valid_path", "test_path",
+                                                   "schema_path", "annotations_path")}
+        assert RunConfig.from_file(corpus_paths["config_path"]) == RunConfig.from_dict(
+            {**data_paths, "mock_signatures": corpus_paths["signatures"]})
 
 
 class TestRun:
@@ -177,6 +172,20 @@ class TestRun:
             run(_config(corpus_paths, sampler="seu", seu_pool_cap=cap),
                 backend=CountingBackend())
         assert CountingBackend.calls == 0
+
+    @pytest.mark.parametrize("field, overrides", [
+        ("positive_class", dict(positive_class="nope")),
+        ("mock_signatures", dict(mock_signatures={"class0": ["sig0x0"], "nope": ["sig1x0"]})),
+    ])
+    def test_unknown_class_name_is_named_before_the_first_request(self, corpus_paths,
+                                                                  monkeypatch, field, overrides):
+        requests = []
+        monkeypatch.setattr(plmclient, "complete",
+                            lambda backend, request: requests.append(request))
+        match = r"%s 'nope' is not a class of the schema \(classes: class0, class1\)" % field
+        with pytest.raises(ValueError, match=match):
+            run(_config(corpus_paths, **overrides))
+        assert requests == []
 
     def test_pool_exhaustion_truncates_with_warning(self, corpus_paths):
         report = run(_config(corpus_paths, n_iterations=200))
