@@ -27,7 +27,8 @@ paths the grid above leaves out: KATE in-context selection with
 chain-of-thought prompting, over embeddings the script writes from fixed
 arithmetic on each instance; binary F1 with `positive_class` "class1"; and
 a self-consistency run recorded to a transcript, then replayed from it,
-whose two digests must be equal.
+whose two digests must be equal: the script exits 1 when they differ,
+after printing every line.
 
 Run from the root of a checkout; `src` may come from another checkout:
     PYTHONPATH=src python3 scripts/report_digests.py > digests.txt
@@ -61,11 +62,9 @@ def write_corpus(root, name, shuffle_train=False, **kwargs):
     dataset, signatures, annotations = generate_synthetic(80, 40, 40, seed=0, **kwargs)
     if shuffle_train:  # the train file then lists its ids out of order
         random.Random(0).shuffle(dataset.train)
-    paths = write_synthetic(out, dataset, signatures, annotations)
-    base = dict(train_path=paths["train_path"], valid_path=paths["valid_path"],
-                test_path=paths["test_path"], schema_path=paths["schema_path"],
-                annotations_path=paths["annotations_path"], mock_signatures=signatures)
-    return out, dataset, signatures, base
+    config_path = write_synthetic(out, dataset, signatures, annotations)["config_path"]
+    with open(config_path, "r", encoding="utf-8") as fh:
+        return out, dataset, signatures, json.load(fh)
 
 
 def write_relation_corpus(root, name):
@@ -148,12 +147,14 @@ def main():
         # the replay serves every request from the transcript the first run wrote
         out, _, _, base = corpora["binary"]
         transcript = os.path.join(root, "transcript.jsonl")
+        replay_digests = []
         for backend, label in (("mock", "recorded"), ("replay", "replayed")):
             report = run(RunConfig.from_dict({**base, **common, "backend": backend,
                                               "prompt_method": "self_consistency",
                                               "transcript_path": transcript}))
+            replay_digests.append(digest(report.to_json(), out))
             label = "prompt_method=self_consistency transcript=%s" % label
-            print("run %-8s %-90s %s" % ("binary", label, digest(report.to_json(), out)))
+            print("run %-8s %-90s %s" % ("binary", label, replay_digests[-1]))
 
         out, dataset, signatures, base = corpora["sparse"]
         payloads = [(sig, dataset.classes.index(name))
@@ -179,6 +180,11 @@ def main():
         for lm, line in eval_lfs(root, "relation", corpora["relation"], lfs, common):
             print("eval-lfs relation label_model=%s %s" % (lm, line))
 
+    if replay_digests[0] != replay_digests[1]:
+        print("the replayed report differs from the recorded one", file=sys.stderr)
+        return 1
+    return 0
+
 
 def eval_lfs(root, name, corpus, lfs, common):
     """(label model, report digest) of `weaklab eval-lfs` on the corpus for
@@ -199,4 +205,4 @@ def eval_lfs(root, name, corpus, lfs, common):
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

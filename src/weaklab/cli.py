@@ -9,7 +9,7 @@ import argparse
 import json
 import sys
 
-from . import corpus, downstream, labelfns, pipeline
+from . import labelfns, lfgate, pipeline
 
 
 def _add_config_arg(parser):
@@ -50,23 +50,20 @@ def cmd_multi_seed(args):
 
 
 def cmd_eval_lfs(args):
-    """Score an externally supplied LF set file against a dataset."""
+    """Score an externally supplied LF set file against a dataset: the LFs go
+    through a run's setup, an admission gate with only the validity stage on,
+    and the tail of a run (`refit`, then the metric suite)."""
     config = pipeline.RunConfig.from_file(args.config)
-    dataset = corpus.load_dataset(config.train_path, config.valid_path,
-                                  config.test_path, config.schema_path)
-    positive = (pipeline.class_index(dataset, "positive_class", config.positive_class)
-                if config.positive_class is not None else None)
+    dataset, positive, space, X_train = pipeline._prepare(config)
     lfs = labelfns.load_lfs(args.lfs, dataset.classes, dataset.task_kind)
-    train_matrix = labelfns.build_matrix(lfs, dataset.train)
-    valid_matrix = labelfns.build_matrix(lfs, dataset.valid)
-    valid_accuracies = [labelfns.lf_stats(lf, dataset.valid, votes=valid_matrix[:, j]).accuracy
-                        for j, lf in enumerate(lfs)]
-    space = downstream.fit_tfidf([i.text for i in dataset.train],
-                                 min_df=config.min_df, max_features=config.max_features)
-    X_train = downstream.featurize_all(space, [i.text for i in dataset.train])
-    problabels, model = pipeline.refit(config, dataset, train_matrix, valid_accuracies, X_train)
-    metrics = pipeline.compute_metrics(dataset, lfs, train_matrix, problabels, model,
-                                       space, [], positive)
+    gate = lfgate.AdmissionGate(dataset, lfgate.FilterConfig(enable_accuracy=False,
+                                                             enable_redundancy=False))
+    gate.admit([lfgate.CandidateSpec(lf.kind, lf.payload, lf.target_class, lf.provenance)
+                for lf in lfs])
+    problabels, model = pipeline.refit(config, dataset, gate, X_train)
+    del X_train  # as in a run: the metric suite builds its own test blocks
+    metrics = pipeline.compute_metrics(dataset, gate.admitted, gate.train_matrix(), problabels,
+                                       model, space, [], positive)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             json.dump(metrics, fh, sort_keys=True, indent=2)

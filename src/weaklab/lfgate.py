@@ -8,7 +8,7 @@ passes the accuracy stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -53,7 +53,7 @@ class FilterVerdict:
     detail: str
 
     def to_record(self) -> dict:
-        return {"outcome": self.outcome, "stage": self.stage, "detail": self.detail}
+        return asdict(self)
 
 
 @dataclass(frozen=True)

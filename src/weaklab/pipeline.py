@@ -119,9 +119,7 @@ class IterationRecord:
     verdicts: list
 
     def to_record(self) -> dict:
-        return {"t": self.t, "query_id": self.query_id, "label": self.label,
-                "gold_label": self.gold_label, "proposed": self.proposed,
-                "admitted": self.admitted, "verdicts": self.verdicts}
+        return asdict(self)
 
 
 @dataclass
@@ -135,10 +133,7 @@ class RunReport:
     warning: Optional[str] = None
 
     def to_json(self) -> str:
-        payload = {"config": self.config, "seed": self.seed, "metrics": self.metrics,
-                   "iterations": self.iterations, "final_lfs": self.final_lfs,
-                   "complete": self.complete, "warning": self.warning}
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -259,36 +254,36 @@ def label_model_kind(config: RunConfig) -> Optional[aggregate.LabelModelKind]:
                                     smoothing=config.smoothing, em_restarts=config.em_restarts)
 
 
-def _fit_label_model(config: RunConfig, dataset: Dataset, train_matrix: np.ndarray,
-                     valid_accuracies, warm=None) -> aggregate.ProbLabels:
+def _fit_label_model(config: RunConfig, dataset: Dataset, gate: lfgate.AdmissionGate,
+                     warm=None) -> aggregate.ProbLabels:
     n, n_classes = len(dataset.train), dataset.n_classes
-    if not (train_matrix != ABSTAIN).any():
+    if not any((votes != ABSTAIN).any() for votes in gate.train_votes):
         return aggregate.ProbLabels(probs=np.full((n, n_classes), 1.0 / n_classes),
                                     covered=np.zeros(n, dtype=bool))
+    train_matrix = gate.train_matrix()
     if config.label_model == "majority":
         return aggregate.majority_vote(train_matrix, n_classes)
     if config.label_model == "weighted":
-        accs = [0.5 if acc is None else acc for acc in valid_accuracies]
+        accs = [0.5 if acc is None else acc for acc in gate.valid_accuracies]
         return aggregate.weighted_vote(train_matrix, n_classes, accs)
-    # keyword passed only when set, so a cold fit calls the plain signature
-    extra = {} if warm is None else {"warm": warm}
     return aggregate.dawid_skene_em(train_matrix, n_classes, label_model_kind(config),
-                                    **extra).problabels
+                                    warm=warm).problabels
 
 
-def refit(config: RunConfig, dataset: Dataset, train_matrix: np.ndarray, valid_accuracies,
-          X_train: np.ndarray, previous=None, problabels=None, warm=None):
-    """Fit the configured label model to the train vote columns, then the classifier.
+def refit(config: RunConfig, dataset: Dataset, gate: lfgate.AdmissionGate, X_train: np.ndarray,
+          previous=None, problabels=None, warm=None):
+    """Fit the configured label model to the gate's train vote columns, then
+    the classifier.
 
-    valid_accuracies holds one validation accuracy per column (None for an LF
-    that never fires there; the weighted vote reads it as 0.5). Without a
-    single vote every row is uncovered. Every label-model fit is
-    deterministic, so a caller whose columns and accuracies are unchanged
-    since the fit that gave `problabels` passes them back to skip the fit.
-    A caller that only added columns since the fit that gave `warm` passes
-    it to warm-start Dawid-Skene from those posteriors (the vote models
-    ignore it). The classifier warm-starts from `previous` and is None when
-    no row resolves to a training label. When `problabels` is passed back,
+    The weighted vote weighs each column by the gate's validation accuracy
+    (0.5 for an LF that never fires there). Without a single vote every row
+    is uncovered. Every label-model fit is deterministic, so a caller whose
+    gate admitted nothing since the fit that gave `problabels` passes them
+    back to skip the fit; only a fit stacks the gate's columns. A caller
+    whose gate only added columns since the fit that gave `warm` passes it
+    to warm-start Dawid-Skene from those posteriors (the vote models ignore
+    it). The classifier warm-starts from `previous` and is None when no row
+    resolves to a training label. When `problabels` is passed back,
     `previous` must be the model fit from them; if that fit converged it is
     returned as is, since a warm start would train on the same rows and
     labels, stop before its first step and copy the weights. Returns
@@ -297,7 +292,7 @@ def refit(config: RunConfig, dataset: Dataset, train_matrix: np.ndarray, valid_a
     if problabels is not None and previous is not None and previous.converged:
         return problabels, previous
     if problabels is None:
-        problabels = _fit_label_model(config, dataset, train_matrix, valid_accuracies, warm)
+        problabels = _fit_label_model(config, dataset, gate, warm)
     rows, labels = aggregate.resolve_training_labels(problabels, dataset)
     if not len(rows):
         return problabels, None
@@ -316,6 +311,25 @@ def refit(config: RunConfig, dataset: Dataset, train_matrix: np.ndarray, valid_a
     return problabels, model
 
 
+def _prepare(config: RunConfig, dataset: Optional[Dataset] = None):
+    """The setup a run and `eval-lfs` share: the dataset (loaded from the
+    config's paths unless given) with a train split that is not empty, the
+    index of `positive_class` (None when unset), and the TF-IDF space fit on
+    the train split with the train features. Returns (dataset,
+    positive_class, space, X_train)."""
+    if dataset is None:
+        dataset = corpus.load_dataset(config.train_path, config.valid_path,
+                                      config.test_path, config.schema_path)
+    if not dataset.train:
+        raise ValueError("the train split is empty: there is no instance to query or label "
+                         "and no row to train on")
+    positive_class = (class_index(dataset, "positive_class", config.positive_class)
+                      if config.positive_class is not None else None)
+    texts = [inst.text for inst in dataset.train]
+    space = downstream.fit_tfidf(texts, min_df=config.min_df, max_features=config.max_features)
+    return dataset, positive_class, space, downstream.featurize_all(space, texts)
+
+
 def run(config: RunConfig, backend=None, dataset: Optional[Dataset] = None) -> RunReport:
     """Execute the full iterative loop and return the run report."""
     if config.lazy_retrain and config.sampler in ("seu", "uncertainty"):
@@ -325,16 +339,11 @@ def run(config: RunConfig, backend=None, dataset: Optional[Dataset] = None) -> R
                          % config.sampler)
     if config.seu_pool_cap is not None and config.seu_pool_cap < 1:
         raise ValueError("seu_pool_cap must be at least 1 or None, not %r" % config.seu_pool_cap)
-    if dataset is None:
-        dataset = corpus.load_dataset(config.train_path, config.valid_path,
-                                      config.test_path, config.schema_path)
-    if not dataset.train:
-        raise ValueError("the train split is empty: the loop has no instance to query "
-                         "and no row to train on")
     spec = prompting.PromptSpec(method=config.prompt_method, n_responses=config.n_responses,
                                 ic_mode=config.ic_mode, k_per_class=config.k_per_class,
                                 k_total=config.k_total, temperature=config.temperature)
     label_model_kind(config)  # a bad label model fails here, not at its first fit
+    dataset, positive_class, space, X_train = _prepare(config, dataset)
     if backend is None:
         backend = build_backend(config, dataset)
     transcript = None
@@ -345,8 +354,6 @@ def run(config: RunConfig, backend=None, dataset: Optional[Dataset] = None) -> R
         backend = plmclient.TranscriptBackend(transcript, backend)
 
     rng = random.Random(config.seed)
-    positive_class = (class_index(dataset, "positive_class", config.positive_class)
-                      if config.positive_class is not None else None)
 
     def ask(messages, temperature, n):
         request = plmclient.CompletionRequest(messages=messages, temperature=temperature, n=n,
@@ -376,11 +383,6 @@ def run(config: RunConfig, backend=None, dataset: Optional[Dataset] = None) -> R
         fixed_examples = prompting.select_ic_balanced(dataset.valid, spec.k_per_class, rng,
                                                       annotations, dataset.n_classes)
 
-    # features and caches
-    space = downstream.fit_tfidf([inst.text for inst in dataset.train],
-                                 min_df=config.min_df, max_features=config.max_features)
-    X_train = downstream.featurize_all(space, [inst.text for inst in dataset.train])
-
     gate = lfgate.AdmissionGate(dataset, lfgate.FilterConfig(
         accuracy_threshold=config.accuracy_threshold,
         redundancy_threshold=config.redundancy_threshold,
@@ -409,15 +411,17 @@ def run(config: RunConfig, backend=None, dataset: Optional[Dataset] = None) -> R
                                                      config.task_description),
                          spec.temperature, spec.n_responses)
             label, keywords, patterns = prompting.aggregate_sc(parsed, dataset.n_classes)
-            payloads = keywords if lf_kind == KEYWORD else patterns
             candidates = []
             if label is not None:
-                for payload in payloads:
-                    candidates.append(lfgate.CandidateSpec(
-                        kind=lf_kind, payload=payload, target_class=label,
-                        provenance=Provenance(iteration=t, query_id=query_id,
-                                              response_index=_first_response_with(parsed, payload,
-                                                                                  lf_kind))))
+                first_response = {}  # payload -> index of the first response proposing it
+                for i, r in enumerate(parsed):
+                    for payload in (r.keywords if lf_kind == KEYWORD else r.patterns):
+                        first_response.setdefault(payload, i)
+                candidates = [lfgate.CandidateSpec(
+                    kind=lf_kind, payload=payload, target_class=label,
+                    provenance=Provenance(iteration=t, query_id=query_id,
+                                          response_index=first_response[payload]))
+                    for payload in (keywords if lf_kind == KEYWORD else patterns)]
             new_lfs, verdicts = gate.admit(candidates)
             records.append(IterationRecord(
                 t=t, query_id=query_id, label=label, gold_label=query.gold_label,
@@ -426,8 +430,7 @@ def run(config: RunConfig, backend=None, dataset: Optional[Dataset] = None) -> R
             if not config.lazy_retrain:
                 # the label model's inputs change only when an LF is admitted,
                 # and then only by new columns, so its fit starts from the last
-                problabels, model = refit(config, dataset, gate.train_matrix(),
-                                          gate.valid_accuracies, X_train, model,
+                problabels, model = refit(config, dataset, gate, X_train, model,
                                           problabels=None if new_lfs else problabels,
                                           warm=problabels)
     except plmclient.BackendError as exc:
@@ -440,8 +443,7 @@ def run(config: RunConfig, backend=None, dataset: Optional[Dataset] = None) -> R
             plmclient.save_transcript(transcript, config.transcript_path)
 
     if complete_run and (config.lazy_retrain or problabels is None):
-        problabels, model = refit(config, dataset, gate.train_matrix(),
-                                  gate.valid_accuracies, X_train, model)
+        problabels, model = refit(config, dataset, gate, X_train, model)
     del X_train  # the metric suite builds its own test blocks; hold one dense block at a time
 
     metrics = compute_metrics(dataset, gate.admitted, gate.train_matrix(), problabels,
@@ -453,14 +455,6 @@ def run(config: RunConfig, backend=None, dataset: Optional[Dataset] = None) -> R
     if config.report_path:
         report.save(config.report_path)
     return report
-
-
-def _first_response_with(parsed, payload, kind) -> int:
-    for i, r in enumerate(parsed):
-        pool = r.keywords if kind == KEYWORD else r.patterns
-        if payload in pool:
-            return i
-    return 0
 
 
 def _select_query(config, selection, problabels, model, rng, gate, X_train) -> int:

@@ -11,7 +11,7 @@ import json
 import os
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 # sha256 from the interpreter's builtin module: hashlib would load OpenSSL's
@@ -91,8 +91,7 @@ class Transcript:
 def save_transcript(transcript: Transcript, path):
     with open(path, "w", encoding="utf-8") as fh:
         for r in transcript.records:
-            fh.write(json.dumps({"hash": r.hash, "request": r.request, "responses": r.responses,
-                                 "backend": r.backend, "elapsed": r.elapsed}, sort_keys=True))
+            fh.write(json.dumps(asdict(r), sort_keys=True))
             fh.write("\n")
 
 

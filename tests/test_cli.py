@@ -199,9 +199,9 @@ def test_eval_lfs_passes_em_restarts(noisy_lfs, monkeypatch):
     kinds = []
     fit = aggregate.dawid_skene_em
 
-    def recording_fit(entries, n_classes, kind=None):
+    def recording_fit(entries, n_classes, kind=None, **kwargs):
         kinds.append(kind)
-        return fit(entries, n_classes, kind)
+        return fit(entries, n_classes, kind, **kwargs)
 
     monkeypatch.setattr(aggregate, "dawid_skene_em", recording_fit)
     noisy_lfs["eval_lfs"](label_model="dawid_skene", em_restarts=5, em_max_iters=40)
@@ -212,6 +212,39 @@ def test_eval_lfs_names_an_unknown_positive_class(noisy_lfs):
     with pytest.raises(ValueError, match=r"positive_class 'nope' is not a class of the "
                                          r"schema \(classes: class0, class1\)"):
         noisy_lfs["eval_lfs"](positive_class="nope")
+
+
+@pytest.fixture(scope="module")
+def lazy_corpus(tmp_path_factory):
+    root = tmp_path_factory.mktemp("lazy")
+    assert main(["synth", "--out", str(root / "corpus"), "--n-train", "200", "--n-valid", "60",
+                 "--n-test", "60", "--q", "0.5", "--seed", "0"]) == 0
+    with open(root / "corpus" / "config.json") as fh:
+        return root, json.load(fh)
+
+
+@pytest.mark.parametrize("label_model", ["majority", "weighted", "dawid_skene"])
+def test_eval_lfs_of_a_lazy_runs_lfs_reproduces_its_metrics(lazy_corpus, label_model):
+    """A lazy random-sampler run fits once, after the loop, from its gate's
+    columns; `eval-lfs` over its final LFs goes the same way, so every metric
+    but the annotator's accuracy is equal."""
+    root, base = lazy_corpus
+    config_path = root / ("%s.json" % label_model)
+    config_path.write_text(json.dumps({**base, "label_model": label_model, "lazy_retrain": True,
+                                       "n_iterations": 30, "max_opt_iters": 150,
+                                       "grad_tol": 1e-4}))
+    report_path, lf_path = root / "report.json", root / "lfs.jsonl"
+    metrics_path = root / "metrics.json"
+    assert main(["run", "--config", str(config_path), "--report", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    lf_path.write_text("".join(json.dumps(record) + "\n" for record in report["final_lfs"]))
+    assert main(["eval-lfs", "--config", str(config_path), "--lfs", str(lf_path),
+                 "--report", str(metrics_path)]) == 0
+    metrics = json.loads(metrics_path.read_text())
+    ran = report["metrics"]
+    assert ran["lf_num"] >= 10 and ran["train_acc"] is not None and ran["test_score"] is not None
+    assert ran.pop("plm_acc") is not None and metrics.pop("plm_acc") is None
+    assert metrics == ran
 
 
 def test_synth_config_runs_as_written(tmp_path, capsys):

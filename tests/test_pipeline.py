@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from weaklab import aggregate, downstream, labelfns, pipeline, plmclient, select
+from weaklab import aggregate, downstream, labelfns, lfgate, pipeline, plmclient, select
 from weaklab.corpus import (Dataset, EntitySpan, Instance, LoadError, RELATION_TASK, TEXT_TASK,
                             load_dataset)
 from weaklab.labelfns import ABSTAIN, KEYWORD
@@ -410,6 +410,15 @@ class TestIterationCost:
         assert len(calls) > 2
         for (warm, _), (_, last) in zip(calls[1:], calls):
             assert warm is last
+
+    @pytest.mark.parametrize("label_model", ["dawid_skene", "weighted", "majority"])
+    def test_gate_columns_are_stacked_once_per_fit_and_once_for_the_metrics(
+            self, corpus_paths, monkeypatch, label_model):
+        calls = _count_calls(monkeypatch, lfgate.AdmissionGate, "train_matrix")
+        report = run(_config(corpus_paths, label_model=label_model, **self.DEGRADED))
+        admitting = sum(1 for r in report.iterations if r["admitted"])
+        assert 0 < admitting < len(report.iterations)
+        assert len(calls) == admitting + 1
 
     # lfbench times iterations from the entries of the sampler attribute
     @pytest.mark.parametrize("sampler", ["random", "uncertainty", "seu"])
