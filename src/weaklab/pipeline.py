@@ -145,11 +145,12 @@ METRIC_NAMES = ("plm_acc", "lf_num", "lf_acc_avg", "lf_cov_avg",
                 "train_acc", "train_cov", "test_score")
 
 
-def compute_metrics(dataset: Dataset, lfs, train_matrix: np.ndarray,
+def compute_metrics(dataset: Dataset, lfs, train_votes,
                     problabels: Optional[aggregate.ProbLabels],
                     model, space, iteration_records, positive_class: Optional[int] = None,
                     test_features: Optional[np.ndarray] = None) -> dict:
-    """The end-of-run metric suite; unavailable metrics are None."""
+    """The end-of-run metric suite over `lfs` and their train vote columns,
+    in the same order; unavailable metrics are None."""
     train = dataset.train
     train_gold = [inst.gold_label for inst in train]
     have_train_gold = bool(train) and all(g is not None for g in train_gold)
@@ -165,8 +166,8 @@ def compute_metrics(dataset: Dataset, lfs, train_matrix: np.ndarray,
     lf_acc_avg = None
     lf_cov_avg = None
     if lfs:
-        stats = [labelfns.lf_stats(lf, train, votes=train_matrix[:, j])
-                 for j, lf in enumerate(lfs)]
+        stats = [labelfns.lf_stats(lf, train, votes=votes)
+                 for lf, votes in zip(lfs, train_votes, strict=True)]
         lf_cov_avg = sum(s.coverage for s in stats) / len(stats)
         if have_train_gold:
             accs = [s.accuracy for s in stats if s.accuracy is not None]
@@ -208,6 +209,14 @@ def _load_annotations(path) -> dict:
     for line_no, obj in corpus.read_jsonl(path):
         if "id" not in obj:
             raise corpus.LoadError("line %d of %s: annotation without an id" % (line_no, path))
+        for key in ("keywords", "patterns"):
+            if key in obj and not (isinstance(obj[key], list)
+                                   and all(isinstance(p, str) for p in obj[key])):
+                raise corpus.LoadError("line %d of %s: %s must be a list of strings, not %r"
+                                       % (line_no, path, key, obj[key]))
+        if not isinstance(obj.get("rationale"), (str, type(None))):
+            raise corpus.LoadError("line %d of %s: rationale must be a string or null, not %r"
+                                   % (line_no, path, obj["rationale"]))
         annotations[obj["id"]] = obj
     return annotations
 
@@ -370,10 +379,10 @@ def run(config: RunConfig, backend=None, dataset: Optional[Dataset] = None) -> R
             raise ValueError("KATE selection needs embeddings_path")
         embeddings = corpus.load_embeddings(config.embeddings_path, dataset, ("train", "valid"))
 
-        def annotate(instance, cot):
-            parsed = ask(prompting.build_annotation_prompt(dataset, instance, cot,
+        def annotate(instance):
+            parsed = ask(prompting.build_annotation_prompt(dataset, instance, spec.cot,
                                                            config.task_description), 0.0, 1)[0]
-            return parsed.keywords, parsed.patterns, parsed.rationale
+            return parsed.payloads, parsed.rationale
 
         kate = prompting.KateSelector(dataset.valid, embeddings, annotate)
     else:
@@ -381,7 +390,8 @@ def run(config: RunConfig, backend=None, dataset: Optional[Dataset] = None) -> R
             raise ValueError("class-balanced selection needs annotations_path")
         annotations = _load_annotations(config.annotations_path)
         fixed_examples = prompting.select_ic_balanced(dataset.valid, spec.k_per_class, rng,
-                                                      annotations, dataset.n_classes)
+                                                      annotations, dataset.n_classes,
+                                                      dataset.task_kind)
 
     gate = lfgate.AdmissionGate(dataset, lfgate.FilterConfig(
         accuracy_threshold=config.accuracy_threshold,
@@ -405,23 +415,16 @@ def run(config: RunConfig, backend=None, dataset: Optional[Dataset] = None) -> R
             query = dataset.train[_select_query(config, selection, problabels, model, rng,
                                                 gate, X_train)]
             query_id = query.id
-            examples = (kate.select(query, spec.k_total, spec.cot)
+            examples = (kate.select(query, spec.k_total)
                         if kate is not None else fixed_examples)
             parsed = ask(prompting.build_task_prompt(dataset, query, examples, spec.cot,
                                                      config.task_description),
                          spec.temperature, spec.n_responses)
-            label, keywords, patterns = prompting.aggregate_sc(parsed, dataset.n_classes)
-            candidates = []
-            if label is not None:
-                first_response = {}  # payload -> index of the first response proposing it
-                for i, r in enumerate(parsed):
-                    for payload in (r.keywords if lf_kind == KEYWORD else r.patterns):
-                        first_response.setdefault(payload, i)
-                candidates = [lfgate.CandidateSpec(
-                    kind=lf_kind, payload=payload, target_class=label,
-                    provenance=Provenance(iteration=t, query_id=query_id,
-                                          response_index=first_response[payload]))
-                    for payload in (keywords if lf_kind == KEYWORD else patterns)]
+            label, payloads = prompting.aggregate_sc(parsed, dataset.n_classes)
+            candidates = [] if label is None else [lfgate.CandidateSpec(
+                kind=lf_kind, payload=payload, target_class=label,
+                provenance=Provenance(iteration=t, query_id=query_id, response_index=i))
+                for payload, i in payloads.items()]
             new_lfs, verdicts = gate.admit(candidates)
             records.append(IterationRecord(
                 t=t, query_id=query_id, label=label, gold_label=query.gold_label,
@@ -446,7 +449,7 @@ def run(config: RunConfig, backend=None, dataset: Optional[Dataset] = None) -> R
         problabels, model = refit(config, dataset, gate, X_train, model)
     del X_train  # the metric suite builds its own test blocks; hold one dense block at a time
 
-    metrics = compute_metrics(dataset, gate.admitted, gate.train_matrix(), problabels,
+    metrics = compute_metrics(dataset, gate.admitted, gate.train_votes, problabels,
                               model, space, records, positive_class)
     report = RunReport(config=config.experiment_dict(), seed=config.seed, metrics=metrics,
                        iterations=[r.to_record() for r in records],

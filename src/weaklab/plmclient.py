@@ -207,9 +207,7 @@ def _mock_response(label_name: str, task_kind: str, payloads, cot: bool) -> str:
     if cot:
         rationale = ("the passage mentions %s, which indicates the %s class."
                      % (payloads[0] if payloads else "nothing specific", label_name))
-    # render_response reads the keywords or the patterns, as the task kind says
-    return render_response(label_name, task_kind, keywords=payloads, patterns=payloads,
-                           rationale=rationale)
+    return render_response(label_name, task_kind, payloads, rationale=rationale)
 
 
 class MockBackend:

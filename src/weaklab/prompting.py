@@ -9,8 +9,11 @@ system message:
     PATTERNS:                 (relation tasks; NONE for an empty list)
     - <regex>
 
-A response without a recognizable LABEL line is recorded as unparseable,
-never raised.
+A task asks for one kind of payload: keywords for text classification,
+regex patterns for relation classification. Parsed responses and in-context
+examples carry that kind's payloads in one `payloads` list, and a parse
+reads only the task's section. A response without a recognizable LABEL line
+is recorded as unparseable, never raised.
 """
 
 from __future__ import annotations
@@ -62,16 +65,14 @@ class PromptSpec:
 class ICExample:
     instance: Instance
     label: int
-    keywords: list = field(default_factory=list)
-    patterns: list = field(default_factory=list)
+    payloads: list = field(default_factory=list)  # keywords or patterns, as the task says
     rationale: Optional[str] = None
 
 
 @dataclass
 class ParsedResponse:
     label: Optional[int]  # None = unparseable
-    keywords: list = field(default_factory=list)
-    patterns: list = field(default_factory=list)
+    payloads: list = field(default_factory=list)  # keywords or patterns, as the task says
     rationale: Optional[str] = None
 
     @property
@@ -124,20 +125,21 @@ def render_instance(instance: Instance, task_kind: str) -> str:
     return "\n".join(lines)
 
 
-def render_response(label_name: str, task_kind: str, keywords=(), patterns=(),
+def render_response(label_name: str, task_kind: str, payloads,
                     rationale: Optional[str] = None) -> str:
+    """A response in the declared format: the payloads as a KEYWORDS line for
+    a text task, as a PATTERNS block for a relation task."""
     lines = []
     if rationale:
         lines.append("REASONING: %s" % rationale)
     lines.append("LABEL: %s" % label_name)
     if task_kind == TEXT_TASK:
-        lines.append("KEYWORDS: %s" % ("; ".join(keywords) if keywords else "NONE"))
+        lines.append("KEYWORDS: %s" % ("; ".join(payloads) if payloads else "NONE"))
+    elif payloads:
+        lines.append("PATTERNS:")
+        lines.extend("- %s" % p for p in payloads)
     else:
-        if patterns:
-            lines.append("PATTERNS:")
-            lines.extend("- %s" % p for p in patterns)
-        else:
-            lines.append("PATTERNS: NONE")
+        lines.append("PATTERNS: NONE")
     return "\n".join(lines)
 
 
@@ -152,8 +154,7 @@ def build_task_prompt(dataset: Dataset, query: Instance, ic_examples, cot: bool,
         messages.append(ChatMessage(role="user",
                                     content=render_instance(example.instance, dataset.task_kind)))
         messages.append(ChatMessage(role="assistant", content=render_response(
-            dataset.classes[example.label], dataset.task_kind,
-            keywords=example.keywords, patterns=example.patterns,
+            dataset.classes[example.label], dataset.task_kind, example.payloads,
             rationale=example.rationale if cot else None)))
     messages.append(ChatMessage(role="user", content=render_instance(query, dataset.task_kind)))
     return messages
@@ -189,11 +190,12 @@ def _key_of(line: str):
 
 
 def parse_response(text: str, task_kind: str, classes) -> ParsedResponse:
-    """Line-oriented, case-insensitive parse; never raises."""
+    """Line-oriented, case-insensitive parse; never raises. The payloads come
+    from the task's section only: the KEYWORDS line of a text response, the
+    PATTERNS block of a relation response."""
     lower_classes = {name.lower(): idx for idx, name in enumerate(classes)}
     label = None
-    keywords: list = []
-    patterns: list = []
+    payloads: list = []
     rationale_lines: list = []
     mode = None
     for line in text.splitlines():
@@ -210,27 +212,29 @@ def parse_response(text: str, task_kind: str, classes) -> ParsedResponse:
         elif key == "keywords:":
             mode = None
             if task_kind == TEXT_TASK and value.upper() != "NONE":
-                keywords.extend(k.strip() for k in value.split(";") if k.strip())
+                payloads.extend(k.strip() for k in value.split(";") if k.strip())
         elif key == "patterns:":
             mode = "patterns" if task_kind == RELATION_TASK else None
             if value.upper() == "NONE":
                 mode = None
         elif mode == "patterns" and line.strip().startswith("- "):
-            patterns.append(line.strip()[2:].strip())
+            payloads.append(line.strip()[2:].strip())
         elif mode == "reasoning" and line.strip():
             rationale_lines.append(line.strip())
     if label is None:
         return ParsedResponse(label=None)
     rationale = " ".join(rationale_lines) if rationale_lines else None
-    return ParsedResponse(label=label, keywords=keywords, patterns=patterns, rationale=rationale)
+    return ParsedResponse(label=label, payloads=payloads, rationale=rationale)
 
 
 def aggregate_sc(responses, n_classes: int):
     """Self-consistency aggregation over parsed responses.
 
     Majority vote over parseable labels (ties to the lowest class index; no
-    parseable label at all yields None) and the first-occurrence union of
-    every response's payloads regardless of that response's own label.
+    parseable label at all yields None) and the union of every response's
+    payloads regardless of that response's own label. Returns (label,
+    payloads), where payloads maps each payload to the index of the first
+    response proposing it, in first-occurrence order.
     """
     if not responses:
         raise ValueError("need at least one response")
@@ -241,26 +245,20 @@ def aggregate_sc(responses, n_classes: int):
     label = None
     if any(counts):
         label = counts.index(max(counts))
-    keywords: list = []
-    patterns: list = []
-    seen_k: set = set()
-    seen_p: set = set()
-    for r in responses:
-        for k in r.keywords:
-            if k not in seen_k:
-                seen_k.add(k)
-                keywords.append(k)
-        for p in r.patterns:
-            if p not in seen_p:
-                seen_p.add(p)
-                patterns.append(p)
-    return label, keywords, patterns
+    payloads: dict = {}
+    for i, r in enumerate(responses):
+        for payload in r.payloads:
+            payloads.setdefault(payload, i)
+    return label, payloads
 
 
-def select_ic_balanced(valid_split, k_per_class: int, rng, annotations: dict, n_classes: int):
+def select_ic_balanced(valid_split, k_per_class: int, rng, annotations: dict, n_classes: int,
+                       task_kind: str):
     """A fixed, seeded class-balanced example set from annotated validation
-    instances. annotations maps instance id to a dict with optional
-    keywords/patterns/rationale."""
+    instances. annotations maps instance id to a dict with an optional
+    rationale and optional payloads under the task kind's key: "keywords"
+    for a text task, "patterns" for a relation task."""
+    key = "keywords" if task_kind == TEXT_TASK else "patterns"
     examples = []
     for cls in range(n_classes):
         candidates = [inst for inst in valid_split
@@ -273,8 +271,7 @@ def select_ic_balanced(valid_split, k_per_class: int, rng, annotations: dict, n_
         for inst in chosen:
             ann = annotations[inst.id]
             examples.append(ICExample(instance=inst, label=cls,
-                                      keywords=list(ann.get("keywords") or []),
-                                      patterns=list(ann.get("patterns") or []),
+                                      payloads=list(ann.get(key, [])),
                                       rationale=ann.get("rationale")))
     return examples
 
@@ -293,24 +290,24 @@ def kate_neighbors(query_id: int, candidate_ids, embeddings: EmbeddingTable, k_t
 
 class KateSelector:
     """Nearest-neighbor in-context example selection with cached automatic
-    annotation of the chosen validation instances."""
+    annotation of the chosen validation instances. A run prompts one way, so
+    each instance is annotated once."""
 
     def __init__(self, valid_split, embeddings: EmbeddingTable, annotate):
-        # annotate(instance, cot) -> (keywords, patterns, rationale)
+        # annotate(instance) -> (payloads, rationale)
         self.valid_by_id = {inst.id: inst for inst in valid_split}
         self.embeddings = embeddings
         self.annotate = annotate
         self._cache: dict = {}
 
-    def select(self, query: Instance, k_total: int, cot: bool):
+    def select(self, query: Instance, k_total: int):
         ids = kate_neighbors(query.id, sorted(self.valid_by_id), self.embeddings, k_total)
         examples = []
         for iid in ids:
-            key = (iid, cot)
-            if key not in self._cache:
-                self._cache[key] = self.annotate(self.valid_by_id[iid], cot)
-            keywords, patterns, rationale = self._cache[key]
-            examples.append(ICExample(instance=self.valid_by_id[iid],
-                                      label=self.valid_by_id[iid].gold_label,
-                                      keywords=keywords, patterns=patterns, rationale=rationale))
+            instance = self.valid_by_id[iid]
+            if iid not in self._cache:
+                self._cache[iid] = self.annotate(instance)
+            payloads, rationale = self._cache[iid]
+            examples.append(ICExample(instance=instance, label=instance.gold_label,
+                                      payloads=payloads, rationale=rationale))
         return examples

@@ -423,11 +423,11 @@ def test_self_consistency_mechanics():
     assert spec.n_responses == 10
     assert spec.temperature == 1.0
 
-    responses = [ParsedResponse(label=1, keywords=["k%d" % i]) for i in range(6)]
-    responses += [ParsedResponse(label=0, keywords=["k0", "extra"]) for _ in range(4)]
-    label, keywords, _ = aggregate_sc(responses, 2)
+    responses = [ParsedResponse(label=1, payloads=["k%d" % i]) for i in range(6)]
+    responses += [ParsedResponse(label=0, payloads=["k0", "extra"]) for _ in range(4)]
+    label, payloads = aggregate_sc(responses, 2)
     assert label == 1  # 6 votes vs 4
-    assert keywords == ["k0", "k1", "k2", "k3", "k4", "k5", "extra"]
+    assert list(payloads) == ["k0", "k1", "k2", "k3", "k4", "k5", "extra"]
 
     responses = [ParsedResponse(label=1) for _ in range(5)]
     responses += [ParsedResponse(label=0) for _ in range(5)]
@@ -566,7 +566,7 @@ def test_metric_suite_hand_computed():
     test_features[np.arange(5), test_pred] = 1.0
     model = LinearModel(weights=np.eye(2), bias=np.zeros(2), l2=0.0)
 
-    metrics = compute_metrics(dataset, lfs, matrix, problabels, model, None, records,
+    metrics = compute_metrics(dataset, lfs, list(matrix.T), problabels, model, None, records,
                               positive_class=1, test_features=test_features)
     assert metrics["plm_acc"] == pytest.approx(3 / 4)         # 3 of 4 labels correct
     assert metrics["lf_num"] == 2

@@ -208,6 +208,19 @@ def test_eval_lfs_passes_em_restarts(noisy_lfs, monkeypatch):
     assert [(k.em_restarts, k.em_max_iters) for k in kinds] == [(5, 40)]
 
 
+def test_eval_lfs_stacks_the_gate_columns_once(noisy_lfs, monkeypatch):
+    calls = []
+    stack = lfgate.AdmissionGate.train_matrix
+
+    def counted(gate):
+        calls.append(gate)
+        return stack(gate)
+
+    monkeypatch.setattr(lfgate.AdmissionGate, "train_matrix", counted)
+    assert noisy_lfs["eval_lfs"](label_model="dawid_skene")["lf_num"] > 1
+    assert len(calls) == 1
+
+
 def test_eval_lfs_names_an_unknown_positive_class(noisy_lfs):
     with pytest.raises(ValueError, match=r"positive_class 'nope' is not a class of the "
                                          r"schema \(classes: class0, class1\)"):

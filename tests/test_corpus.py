@@ -124,6 +124,30 @@ def test_load_dataset_text_task_rejects_entities(tmp_path):
         corpus.load_dataset(*_paths(tmp_path, [], [rec], []), _schema(tmp_path))
 
 
+# JSON's true and false load as Python bools, which are ints
+@pytest.mark.parametrize("field, value, match", [
+    ("id", True, "non-integer id"),
+    ("id", False, "non-integer id"),
+    ("label", False, "label False out of range"),
+    ("label", True, "label True out of range"),
+])
+def test_load_dataset_rejects_a_boolean_id_or_label(tmp_path, field, value, match):
+    test = [{"id": 5, "text": "b", "label": 0}, {"id": 6, "text": "c", "label": 1, field: value}]
+    with pytest.raises(LoadError, match="line 2: .*" + match):
+        corpus.load_dataset(*_paths(tmp_path, [], [{"id": 1, "text": "a", "label": 0}], test),
+                            _schema(tmp_path))
+
+
+@pytest.mark.parametrize("bound, value", [("start", False), ("end", True)])
+def test_load_dataset_rejects_a_boolean_entity_span(tmp_path, bound, value):
+    # false and true stand for 0 and 1, the span of "a"
+    rec = {"id": 1, "text": "a met bob", "label": 0,
+           "entity1": {"text": "a", "start": 0, "end": 1, bound: value},
+           "entity2": {"text": "bob", "start": 6, "end": 9}}
+    with pytest.raises(LoadError, match="line 1: entity1 span must be integers"):
+        corpus.load_dataset(*_paths(tmp_path, [], [rec], []), _schema(tmp_path, task="relation"))
+
+
 @pytest.mark.parametrize("task, classes, default, match", [
     ("image", ("HAM", "SPAM"), None, "task must be"),
     ("text", ("HAM",), None, "at least two classes"),

@@ -60,6 +60,13 @@ class TestCompile:
         with pytest.raises(LFError, match="classes"):
             kw("free", cls=7)
 
+    # JSON's true and false load as Python bools, which are ints
+    @pytest.mark.parametrize("compile_as", [kw, pat])
+    @pytest.mark.parametrize("cls", [True, False])
+    def test_boolean_class_rejected(self, compile_as, cls):
+        with pytest.raises(LFError, match="classes"):
+            compile_as("{{E1}} wed {{E2}}" if compile_as is pat else "free", cls=cls)
+
     def test_keyword_on_relation_task_rejected(self):
         with pytest.raises(LFError, match="text classification"):
             compile_lf(KEYWORD, "free", 1, CLASSES, RELATION_TASK)

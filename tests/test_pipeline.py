@@ -6,7 +6,6 @@ import sys
 import textwrap
 import warnings
 
-import numpy as np
 import pytest
 
 from weaklab import aggregate, downstream, labelfns, lfgate, pipeline, plmclient, select
@@ -95,12 +94,24 @@ class TestSyntheticCorpus:
         ('["x"]', r"line 2 .*not a JSON object"),
         ('{"keywords": ["free"]}', r"line 2 .*without an id"),
         ('{"id": 3', r"line 2 .*invalid JSON"),
+        # a bare string would be read character by character
+        ('{"id": 3, "keywords": "sig0x1 sig0x2"}', r"line 2 .*keywords must be a list of strings"),
+        ('{"id": 3, "keywords": null}', r"line 2 .*keywords must be a list of strings"),
+        ('{"id": 3, "patterns": ["{{E1}} wed {{E2}}", 7]}',
+         r"line 2 .*patterns must be a list of strings"),
+        ('{"id": 3, "rationale": ["why"]}', r"line 2 .*rationale must be a string or null"),
     ])
     def test_bad_annotation_line_is_named(self, tmp_path, line, match):
         path = tmp_path / "annotations.jsonl"
         path.write_text('{"id": 1, "keywords": ["free"]}\n' + line + "\n")
         with pytest.raises(LoadError, match=match):
             pipeline._load_annotations(path)
+
+    def test_annotation_keys_are_optional_and_rationale_may_be_null(self, tmp_path):
+        path = tmp_path / "annotations.jsonl"
+        path.write_text('{"id": 1, "rationale": null}\n{"id": 2, "patterns": []}\n')
+        assert pipeline._load_annotations(path) == {1: {"id": 1, "rationale": None},
+                                                    2: {"id": 2, "patterns": []}}
 
     def test_write_synthetic_round_trips(self, corpus_paths):
         dataset = load_dataset(corpus_paths["train_path"], corpus_paths["valid_path"],
@@ -411,14 +422,21 @@ class TestIterationCost:
         for (warm, _), (_, last) in zip(calls[1:], calls):
             assert warm is last
 
+    # the metric suite reads the gate's columns as they are, unstacked
     @pytest.mark.parametrize("label_model", ["dawid_skene", "weighted", "majority"])
-    def test_gate_columns_are_stacked_once_per_fit_and_once_for_the_metrics(
-            self, corpus_paths, monkeypatch, label_model):
+    def test_gate_columns_are_stacked_once_per_fit(self, corpus_paths, monkeypatch,
+                                                   label_model):
         calls = _count_calls(monkeypatch, lfgate.AdmissionGate, "train_matrix")
         report = run(_config(corpus_paths, label_model=label_model, **self.DEGRADED))
         admitting = sum(1 for r in report.iterations if r["admitted"])
         assert 0 < admitting < len(report.iterations)
-        assert len(calls) == admitting + 1
+        assert len(calls) == admitting
+
+    def test_a_lazy_run_stacks_the_gate_columns_once(self, corpus_paths, monkeypatch):
+        calls = _count_calls(monkeypatch, lfgate.AdmissionGate, "train_matrix")
+        report = run(_config(corpus_paths, lazy_retrain=True))
+        assert report.metrics["lf_num"] > 1
+        assert len(calls) == 1
 
     # lfbench times iterations from the entries of the sampler attribute
     @pytest.mark.parametrize("sampler", ["random", "uncertainty", "seu"])
@@ -576,7 +594,7 @@ class TestComputeMetrics:
     def test_hand_computed_lf_and_train_metrics(self):
         dataset, lfs, matrix = self._fixture()
         problabels = aggregate.majority_vote(matrix, 2)
-        metrics = compute_metrics(dataset, lfs, matrix, problabels,
+        metrics = compute_metrics(dataset, lfs, list(matrix.T), problabels,
                                   model=None, space=None, iteration_records=[])
         assert metrics["lf_num"] == 2
         # "free": coverage 2/5, accuracy 1.0; "song": coverage 1/5, accuracy 1.0
@@ -595,13 +613,12 @@ class TestComputeMetrics:
             pipeline.IterationRecord(t=2, query_id=1, label=1, gold_label=0,
                                      proposed=0, admitted=0, verdicts=[]),
         ]
-        metrics = compute_metrics(dataset, lfs, matrix, None, None, None, records)
+        metrics = compute_metrics(dataset, lfs, list(matrix.T), None, None, None, records)
         assert metrics["plm_acc"] == pytest.approx(0.5)
 
     def test_empty_lf_set_metrics(self):
         dataset, _, _ = self._fixture()
-        empty = np.zeros((5, 0), dtype=np.int64)
-        metrics = compute_metrics(dataset, [], empty, None, None, None, [])
+        metrics = compute_metrics(dataset, [], [], None, None, None, [])
         assert metrics["lf_num"] == 0
         assert metrics["lf_acc_avg"] is None and metrics["lf_cov_avg"] is None
         assert metrics["train_cov"] == 0.0
@@ -711,6 +728,36 @@ def test_relation_run_survives_a_placeholder_in_a_class(tmp_path):
     report = run(_relation_config(tmp_path, dataset), backend=RangeBackend(), dataset=dataset)
     assert report.complete and len(report.iterations) == 6
     assert {v["stage"] for it in report.iterations for v in it["verdicts"]} == {"validity"}
+
+
+def test_an_admitted_lf_records_the_first_response_proposing_it(tmp_path):
+    """A self-consistency request answered five times: "alpha" is first
+    proposed by response 1, whose label loses the vote, and "beta" by
+    response 3."""
+    class Scripted:
+        name = "scripted"
+
+        def complete(self, request):
+            assert request.n == 5
+            return ["LABEL: A\nKEYWORDS: NONE", "LABEL: B\nKEYWORDS: alpha",
+                    "LABEL: A\nKEYWORDS: NONE", "LABEL: A\nKEYWORDS: beta; alpha",
+                    "LABEL: A\nKEYWORDS: beta"]
+
+    dataset = Dataset(task_kind=TEXT_TASK, classes=["A", "B"], default_class=0,
+                      train=[Instance(id=1, text="alpha beta", gold_label=0),
+                             Instance(id=2, text="gamma beta", gold_label=0)],
+                      valid=[Instance(id=20, text="alpha beta", gold_label=0),
+                             Instance(id=21, text="delta", gold_label=1)],
+                      test=[Instance(id=30, text="beta", gold_label=0)])
+    annotations = tmp_path / "annotations.jsonl"
+    annotations.write_text("".join(json.dumps({"id": inst.id, "rationale": "r"}) + "\n"
+                                   for inst in dataset.valid))
+    config = RunConfig(annotations_path=str(annotations), prompt_method="self_consistency",
+                       n_responses=5, n_iterations=1, max_opt_iters=50,
+                       enable_redundancy=False)
+    report = run(config, backend=Scripted(), dataset=dataset)
+    assert [(lf["payload"], lf["class"], lf["response_index"]) for lf in report.final_lfs] == \
+        [("alpha", 0, 1), ("beta", 0, 3)]
 
 
 @pytest.mark.parametrize("sampler, picks", [

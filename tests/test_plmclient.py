@@ -123,7 +123,7 @@ class TestMockOracle:
         parsed = parse_response(mock_oracle_respond(config, inst, TEXT_TASK, False),
                                 TEXT_TASK, config.classes)
         assert parsed.label == 1
-        assert "free stuff" in parsed.keywords
+        assert "free stuff" in parsed.payloads
 
     def test_cot_response_has_reasoning(self):
         config = _oracle_config()
@@ -495,4 +495,4 @@ def test_relation_oracle_emits_patterns():
     text = mock_oracle_respond(config, inst, RELATION_TASK, cot=False)
     parsed = parse_response(text, RELATION_TASK, config.classes)
     assert parsed.label == 1
-    assert parsed.patterns and "{{E1}}" in parsed.patterns[0]
+    assert parsed.payloads and "{{E1}}" in parsed.payloads[0]

@@ -111,15 +111,15 @@ class TestParse:
         parsed = parse_response("LABEL: SPAM\nKEYWORDS: free gift; my channel",
                                 TEXT_TASK, CLASSES)
         assert parsed.label == 1
-        assert parsed.keywords == ["free gift", "my channel"]
+        assert parsed.payloads == ["free gift", "my channel"]
 
     def test_case_insensitive(self):
         parsed = parse_response("label: spam\nkeywords: FREE", TEXT_TASK, CLASSES)
-        assert parsed.label == 1 and parsed.keywords == ["FREE"]
+        assert parsed.label == 1 and parsed.payloads == ["FREE"]
 
     def test_keywords_none(self):
         parsed = parse_response("LABEL: HAM\nKEYWORDS: NONE", TEXT_TASK, CLASSES)
-        assert parsed.label == 0 and parsed.keywords == []
+        assert parsed.label == 0 and parsed.payloads == []
 
     def test_missing_label_is_unparseable(self):
         parsed = parse_response("KEYWORDS: free", TEXT_TASK, CLASSES)
@@ -142,18 +142,26 @@ class TestParse:
     def test_pattern_block(self):
         text = "LABEL: SPAM\nPATTERNS:\n- {{E1}} married {{E2}}\n- {{E1}} and {{E2}} wed"
         parsed = parse_response(text, RELATION_TASK, CLASSES)
-        assert parsed.patterns == ["{{E1}} married {{E2}}", "{{E1}} and {{E2}} wed"]
+        assert parsed.payloads == ["{{E1}} married {{E2}}", "{{E1}} and {{E2}} wed"]
 
     def test_patterns_none(self):
         parsed = parse_response("LABEL: HAM\nPATTERNS: NONE\n- stray", RELATION_TASK, CLASSES)
-        assert parsed.patterns == []
+        assert parsed.payloads == []
+
+    def test_text_response_ignores_a_pattern_block(self):
+        text = "LABEL: SPAM\nPATTERNS:\n- {{E1}} wed {{E2}}\nKEYWORDS: free gift"
+        assert parse_response(text, TEXT_TASK, CLASSES).payloads == ["free gift"]
+
+    def test_relation_response_ignores_a_keywords_line(self):
+        text = "LABEL: SPAM\nKEYWORDS: free; gift\nPATTERNS:\n- {{E1}} wed {{E2}}"
+        assert parse_response(text, RELATION_TASK, CLASSES).payloads == ["{{E1}} wed {{E2}}"]
 
     def test_round_trip_with_renderer(self):
-        text = render_response("SPAM", TEXT_TASK, keywords=["free gift", "click here"],
+        text = render_response("SPAM", TEXT_TASK, ["free gift", "click here"],
                                rationale="looks promotional")
         parsed = parse_response(text, TEXT_TASK, CLASSES)
         assert parsed.label == 1
-        assert parsed.keywords == ["free gift", "click here"]
+        assert parsed.payloads == ["free gift", "click here"]
         assert parsed.rationale == "looks promotional"
 
     @given(st.text(max_size=200))
@@ -164,7 +172,7 @@ class TestParse:
 class TestSelfConsistency:
     def test_majority_label(self):
         responses = [ParsedResponse(label=1), ParsedResponse(label=1), ParsedResponse(label=0)]
-        label, _, _ = aggregate_sc(responses, 2)
+        label, _ = aggregate_sc(responses, 2)
         assert label == 1
 
     def test_tie_goes_to_lowest_class(self):
@@ -181,20 +189,32 @@ class TestSelfConsistency:
 
     def test_payload_union_first_occurrence_order(self):
         responses = [
-            ParsedResponse(label=1, keywords=["free", "gift"]),
-            ParsedResponse(label=0, keywords=["gift", "click"]),
+            ParsedResponse(label=1, payloads=["free", "gift"]),
+            ParsedResponse(label=0, payloads=["gift", "click"]),
         ]
-        _, keywords, _ = aggregate_sc(responses, 2)
-        assert keywords == ["free", "gift", "click"]
+        _, payloads = aggregate_sc(responses, 2)
+        assert list(payloads) == ["free", "gift", "click"]
 
     def test_payloads_collected_from_minority_responses(self):
         responses = [
-            ParsedResponse(label=1, keywords=["free"]),
-            ParsedResponse(label=1, keywords=[]),
-            ParsedResponse(label=0, keywords=["melody"]),
+            ParsedResponse(label=1, payloads=["free"]),
+            ParsedResponse(label=1, payloads=[]),
+            ParsedResponse(label=0, payloads=["melody"]),
         ]
-        label, keywords, _ = aggregate_sc(responses, 2)
-        assert label == 1 and keywords == ["free", "melody"]
+        label, payloads = aggregate_sc(responses, 2)
+        assert label == 1 and list(payloads) == ["free", "melody"]
+
+    def test_payloads_map_to_their_first_proposing_response(self):
+        responses = [
+            ParsedResponse(label=None),
+            ParsedResponse(label=1, payloads=["free"]),
+            ParsedResponse(label=0, payloads=["melody", "free"]),
+            ParsedResponse(label=1, payloads=["gift", "melody"]),
+        ]
+        label, payloads = aggregate_sc(responses, 2)
+        assert label == 1
+        # "melody" is first proposed by the minority-label response 2
+        assert list(payloads.items()) == [("free", 1), ("melody", 2), ("gift", 3)]
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -207,25 +227,25 @@ class TestBalancedSelection:
 
     def test_one_per_class(self):
         annotations = {i: {"keywords": ["k%d" % i]} for i in range(8)}
-        examples = select_ic_balanced(self._valid(), 1, random.Random(0), annotations, 2)
+        examples = select_ic_balanced(self._valid(), 1, random.Random(0), annotations, 2, TEXT_TASK)
         assert len(examples) == 2
         assert [e.label for e in examples] == [0, 1]
 
     def test_deterministic_given_seed(self):
         annotations = {i: {} for i in range(8)}
-        a = select_ic_balanced(self._valid(), 2, random.Random(5), annotations, 2)
-        b = select_ic_balanced(self._valid(), 2, random.Random(5), annotations, 2)
+        a = select_ic_balanced(self._valid(), 2, random.Random(5), annotations, 2, TEXT_TASK)
+        b = select_ic_balanced(self._valid(), 2, random.Random(5), annotations, 2, TEXT_TASK)
         assert [e.instance.id for e in a] == [e.instance.id for e in b]
 
     def test_only_annotated_instances_used(self):
         annotations = {0: {}, 1: {}}
-        examples = select_ic_balanced(self._valid(), 1, random.Random(0), annotations, 2)
+        examples = select_ic_balanced(self._valid(), 1, random.Random(0), annotations, 2, TEXT_TASK)
         assert {e.instance.id for e in examples} == {0, 1}
 
     def test_insufficient_class_examples(self):
         annotations = {0: {}}
         with pytest.raises(ValueError, match="class 1"):
-            select_ic_balanced(self._valid(), 1, random.Random(0), annotations, 2)
+            select_ic_balanced(self._valid(), 1, random.Random(0), annotations, 2, TEXT_TASK)
 
 
 class TestKate:
@@ -253,16 +273,16 @@ class TestKate:
     def test_selector_caches_annotations(self):
         calls = []
 
-        def annotate(inst, cot):
+        def annotate(inst):
             calls.append(inst.id)
-            return (["kw"], [], None)
+            return (["kw"], None)
 
         valid = [Instance(id=i, text="v", gold_label=0) for i in (1, 2, 3)]
         selector = KateSelector(valid, self._embeddings(), annotate)
         query = Instance(id=9, text="q")
-        first = selector.select(query, 2, cot=False)
-        second = selector.select(query, 2, cot=False)
+        first = selector.select(query, 2)
+        second = selector.select(query, 2)
         assert [e.instance.id for e in first] == [1, 2]
         assert [e.instance.id for e in second] == [1, 2]
         assert calls == [1, 2]  # second pass served from cache
-        assert first[0].keywords == ["kw"]
+        assert first[0].payloads == ["kw"]
