@@ -33,10 +33,6 @@ class ProbLabels:
     def n(self):
         return self.probs.shape[0]
 
-    @property
-    def n_classes(self):
-        return self.probs.shape[1]
-
     def hard_labels(self) -> np.ndarray:
         """Argmax labels, ties broken toward the lowest class index."""
         return self.probs.argmax(axis=1)
@@ -145,22 +141,6 @@ def _penalized_log_likelihood(design, prior, confusions, propensities, smoothing
         ll += smoothing * float(log_prior.sum() + log_conf.sum() + log_prop.sum()
                                 + log_abstain.sum())
     return ll, log_like, unnorm / mass
-
-
-def em_log_likelihood(entries, prior, confusions, propensities, smoothing):
-    """Penalized observed-data log-likelihood at the given parameters.
-
-    Per LF and instance the likelihood factor is
-    propensity[k] * confusion[k, vote] when the LF voted and
-    1 - propensity[k] when it abstained. The penalty is the Dirichlet/Beta
-    term matching additive smoothing in the M-step; at smoothing 0 this is
-    the plain log-likelihood. Returns (objective, per-instance class
-    log-likelihood matrix).
-    """
-    design = _vote_design(entries, prior.shape[0])
-    ll, log_like, _ = _penalized_log_likelihood(design, prior, confusions, propensities,
-                                                smoothing)
-    return ll, log_like
 
 
 def _em_mstep(design, posteriors, smoothing):

@@ -50,11 +50,6 @@ class Dataset:
     def n_classes(self) -> int:
         return len(self.classes)
 
-    def split(self, name):
-        if name not in ("train", "valid", "test"):
-            raise ValueError("unknown split %r" % name)
-        return getattr(self, name)
-
     def all_instances(self):
         return list(self.train) + list(self.valid) + list(self.test)
 
@@ -252,34 +247,50 @@ class EmbeddingTable:
             raise LoadError("embedding missing for instance %d" % instance_id)
 
 
-def load_embeddings(path, dataset: Dataset, splits=("train", "valid")) -> EmbeddingTable:
-    """Load per-instance dense vectors for the requested splits.
+def _finite_vector(values) -> Optional[np.ndarray]:
+    """`values` as a float array when it holds only finite JSON numbers
+    (not booleans, nulls, strings or lists), else None."""
+    if not all(_is_int(x) or isinstance(x, float) for x in values):
+        return None
+    try:
+        arr = np.array(values, dtype=float)
+    except OverflowError:  # an integer past the float range
+        return None
+    return arr if np.isfinite(arr).all() else None
+
+
+def load_embeddings(path, dataset: Dataset) -> EmbeddingTable:
+    """Load per-instance dense vectors for the train and valid splits, the
+    queries and the in-context candidates that KATE compares.
 
     Every required instance must have exactly one row, all rows one shared
     dimensionality, and no row may be the zero vector.
     """
-    required = []
-    for name in splits:
-        required.extend(inst.id for inst in dataset.split(name))
+    required = [inst.id for inst in dataset.train + dataset.valid]
     required_set = set(required)
     rows = {}
     dim = None
     for line_no, record in read_jsonl(path):
         iid = record.get("id")
         vec = record.get("vector")
-        if not isinstance(iid, int) or not isinstance(vec, list):
+        if not _is_int(iid) or not isinstance(vec, list):
             raise LoadError("line %d: embedding record needs integer id and vector list" % line_no)
+        arr = _finite_vector(vec)
+        if arr is None:
+            # a NaN or infinite entry would make the row's cosine distances NaN
+            raise LoadError("line %d: vector must be a flat list of finite numbers" % line_no)
         if iid not in required_set:
             continue
-        arr = np.asarray(vec, dtype=float)
         if dim is None:
             dim = arr.shape[0]
         elif arr.shape[0] != dim:
-            raise LoadError("embedding dimension mismatch for instance %d: %d != %d" % (iid, arr.shape[0], dim))
+            raise LoadError("line %d: embedding dimension mismatch for instance %d: %d != %d"
+                            % (line_no, iid, arr.shape[0], dim))
         if not np.any(arr):
-            raise LoadError("embedding for instance %d is the zero vector" % iid)
+            raise LoadError("line %d: embedding for instance %d is the zero vector"
+                            % (line_no, iid))
         if iid in rows:
-            raise LoadError("duplicate embedding for instance %d" % iid)
+            raise LoadError("line %d: duplicate embedding for instance %d" % (line_no, iid))
         rows[iid] = arr
     for iid in required:
         if iid not in rows:

@@ -2,8 +2,8 @@
 
 TF-IDF features feed a multinomial logistic regression trained by
 deterministic full-batch gradient descent with backtracking line search.
-Dense precomputed embeddings can be substituted for TF-IDF by passing a
-feature matrix directly to train_logreg.
+`evaluate` always featurizes the split it scores, in blocks of EVAL_BLOCK
+rows, so no caller holds a split's whole dense matrix.
 """
 
 from __future__ import annotations
@@ -49,13 +49,9 @@ def fit_tfidf(train_texts, min_df: int = 1, max_features: int = 50000) -> Featur
     return FeatureSpace(vocabulary=vocabulary, idf=idf, dim=len(eligible))
 
 
-def featurize(space: FeatureSpace, text: str) -> np.ndarray:
-    """L2-normalized tf-idf vector; out-of-vocabulary tokens are ignored."""
-    return featurize_all(space, [text])[0]
-
-
 def featurize_all(space: FeatureSpace, texts) -> np.ndarray:
-    """One `featurize` row per text, filled into a single preallocated matrix."""
+    """One L2-normalized tf-idf row per text, filled into a single
+    preallocated matrix; out-of-vocabulary tokens are ignored."""
     out = np.zeros((len(texts), space.dim))
     for vec, text in zip(out, texts):
         for token in tokenize(text):
@@ -209,33 +205,30 @@ def binary_f1(y_true, y_pred, positive_class: int) -> float:
     return 2 * tp / (2 * tp + fp + fn)
 
 
-# Rows featurized and scored at a time when `evaluate` builds its own
-# features, so a split never needs its whole dense matrix at once. Each
-# block is dropped before the next is built: one block is live at a time.
+# Rows `evaluate` featurizes and scores at a time, so a split never needs
+# its whole dense matrix at once. Each block is dropped before the next is
+# built: one block is live at a time.
 EVAL_BLOCK = 256
 
 
-def evaluate(model: LinearModel, space: Optional[FeatureSpace], split, metric: str = "accuracy",
-             positive_class: int = 1, features: Optional[np.ndarray] = None) -> float:
+def evaluate(model: LinearModel, space: FeatureSpace, split, metric: str = "accuracy",
+             positive_class: int = 1) -> float:
     """Score the model on a gold-labeled split with accuracy or binary F1.
 
-    Without `features` the split is featurized and predicted EVAL_BLOCK rows
-    at a time; the predictions equal those from one matrix of every row. An
-    empty split has no score and raises ValueError.
+    The split is featurized and predicted EVAL_BLOCK rows at a time; the
+    predictions equal those from one matrix of every row. An empty split
+    has no score and raises ValueError.
     """
     instances = list(split)
     if not instances:
         raise ValueError("cannot score an empty split")
     y_true = np.array([inst.gold_label for inst in instances])
-    if features is not None:
-        y_pred = predict_proba(model, features).argmax(axis=1)
-    else:
-        y_pred = np.zeros(len(instances), dtype=np.int64)
-        for start in range(0, len(instances), EVAL_BLOCK):
-            texts = [inst.text for inst in instances[start:start + EVAL_BLOCK]]
-            # the block is a temporary, freed before the next one is built
-            y_pred[start:start + len(texts)] = predict_proba(
-                model, featurize_all(space, texts)).argmax(axis=1)
+    y_pred = np.zeros(len(instances), dtype=np.int64)
+    for start in range(0, len(instances), EVAL_BLOCK):
+        texts = [inst.text for inst in instances[start:start + EVAL_BLOCK]]
+        # the block is a temporary, freed before the next one is built
+        y_pred[start:start + len(texts)] = predict_proba(
+            model, featurize_all(space, texts)).argmax(axis=1)
     if metric == "accuracy":
         return accuracy_score(y_true, y_pred)
     if metric == "binary_f1":

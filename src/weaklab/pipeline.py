@@ -15,6 +15,7 @@ import math
 import random
 import statistics
 import sys
+import typing
 from dataclasses import dataclass, field, asdict
 from typing import Optional
 
@@ -83,10 +84,17 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RunConfig":
+        """The config `obj` holds; raises ValueError naming an unknown field
+        or a value whose JSON type does not fit the field's annotation."""
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(obj) - known
         if unknown:
             raise ValueError("unknown config fields: %s" % ", ".join(sorted(unknown)))
+        hints = typing.get_type_hints(cls)
+        for name, value in obj.items():
+            if not _fits(value, hints[name]):
+                raise ValueError("config field %s takes %s, not %r"
+                                 % (name, _type_name(hints[name]), value))
         return cls(**obj)
 
     @classmethod
@@ -106,6 +114,26 @@ class RunConfig:
     def experiment_dict(self) -> dict:
         return {k: v for k, v in asdict(self).items()
                 if k not in self._TRANSPORT_FIELDS}
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value fits a field annotation. `true` and `false`
+    fit only bool fields, integers fit int and float fields, and null fits
+    Optional ones."""
+    if typing.get_origin(hint) is typing.Union:
+        return any(_fits(value, arg) for arg in typing.get_args(hint))
+    if hint is int:
+        return corpus._is_int(value)
+    if hint is float:
+        return corpus._is_int(value) or isinstance(value, float)
+    return isinstance(value, hint)
+
+
+def _type_name(hint) -> str:
+    if typing.get_origin(hint) is typing.Union:
+        return " or ".join(_type_name(arg) for arg in typing.get_args(hint))
+    return {type(None): "null", bool: "true or false", dict: "an object",
+            str: "a string", int: "an integer", float: "a number"}[hint]
 
 
 @dataclass
@@ -147,8 +175,7 @@ METRIC_NAMES = ("plm_acc", "lf_num", "lf_acc_avg", "lf_cov_avg",
 
 def compute_metrics(dataset: Dataset, lfs, train_votes,
                     problabels: Optional[aggregate.ProbLabels],
-                    model, space, iteration_records, positive_class: Optional[int] = None,
-                    test_features: Optional[np.ndarray] = None) -> dict:
+                    model, space, iteration_records, positive_class: Optional[int] = None) -> dict:
     """The end-of-run metric suite over `lfs` and their train vote columns,
     in the same order; unavailable metrics are None."""
     train = dataset.train
@@ -190,8 +217,7 @@ def compute_metrics(dataset: Dataset, lfs, train_votes,
             test_metric = "binary_f1"
         if len(dataset.test):  # an empty test split has no score
             test_score = downstream.evaluate(model, space, dataset.test, test_metric,
-                                             positive_class=positive_class,
-                                             features=test_features)
+                                             positive_class=positive_class)
     return {
         "plm_acc": plm_acc,
         "lf_num": lf_num,
@@ -209,6 +235,9 @@ def _load_annotations(path) -> dict:
     for line_no, obj in corpus.read_jsonl(path):
         if "id" not in obj:
             raise corpus.LoadError("line %d of %s: annotation without an id" % (line_no, path))
+        if not corpus._is_int(obj["id"]):  # "0" would match no instance, true instance 1
+            raise corpus.LoadError("line %d of %s: annotation id must be an integer, not %r"
+                                   % (line_no, path, obj["id"]))
         for key in ("keywords", "patterns"):
             if key in obj and not (isinstance(obj[key], list)
                                    and all(isinstance(p, str) for p in obj[key])):
@@ -377,7 +406,7 @@ def run(config: RunConfig, backend=None, dataset: Optional[Dataset] = None) -> R
     if spec.ic_mode == "kate":
         if not config.embeddings_path:
             raise ValueError("KATE selection needs embeddings_path")
-        embeddings = corpus.load_embeddings(config.embeddings_path, dataset, ("train", "valid"))
+        embeddings = corpus.load_embeddings(config.embeddings_path, dataset)
 
         def annotate(instance):
             parsed = ask(prompting.build_annotation_prompt(dataset, instance, spec.cot,
@@ -465,7 +494,7 @@ def _select_query(config, selection, problabels, model, rng, gate, X_train) -> i
     if config.sampler == "random":
         return select.random_sampler(selection, rng)
     if config.sampler == "uncertainty":
-        return select.uncertainty_sampler(selection, model, X_train, rng=rng)
+        return select.uncertainty_sampler(selection, model, X_train, rng)
     if config.sampler == "seu":
         if problabels is None:  # before the first fit: label 0, every row uncovered
             n = len(X_train)
@@ -475,8 +504,8 @@ def _select_query(config, selection, problabels, model, rng, gate, X_train) -> i
         accuracy = {(" ".join(lf.tokens), lf.target_class): acc
                     for lf, acc in zip(gate.admitted, gate.valid_accuracies)
                     if lf.kind == KEYWORD and acc is not None}
-        return select.seu_sampler(selection, gate.train_index, labels, uncovered, accuracy,
-                                  pool_cap=config.seu_pool_cap, rng=rng)
+        return select.seu_sampler(selection, gate.train_index, labels, uncovered, accuracy, rng,
+                                  pool_cap=config.seu_pool_cap)
     raise ValueError("unknown sampler %r" % config.sampler)
 
 

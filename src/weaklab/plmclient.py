@@ -141,13 +141,6 @@ class MockOracleConfig:
                 raise ValueError("class %r has no planted signatures" % cls)
 
 
-def mock_oracle_respond(config: MockOracleConfig, instance, task_kind: str, cot: bool,
-                        draw_index: int = 0) -> str:
-    """One synthetic response, deterministic given (seed, query id, draw index)."""
-    return _draw_response(config, _analyse_passage(config, instance), task_kind, cot,
-                          draw_index)
-
-
 def _analyse_passage(config: MockOracleConfig, instance):
     """What every draw for the query reads: its id, its gold label, the
     passage n-grams carrying one of the gold class's signatures and the
@@ -175,7 +168,8 @@ def _analyse_passage(config: MockOracleConfig, instance):
 
 def _draw_response(config: MockOracleConfig, analysis, task_kind: str, cot: bool,
                    draw_index: int) -> str:
-    """`mock_oracle_respond` from the passage's `_analyse_passage`."""
+    """One synthetic response from the passage's `_analyse_passage`,
+    deterministic given (seed, query id, draw index)."""
     instance_id, gold, sig_bearing, non_sigs = analysis
     rng = random.Random(_stable_seed(config.seed, instance_id, draw_index))
     if rng.random() < config.p_label:

@@ -3,7 +3,7 @@ expected-utility scoring of the candidate LFs an annotator would return."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -21,26 +21,16 @@ def entropy_rows(probs: np.ndarray) -> np.ndarray:
     return -(probs * np.log(np.where(probs > 0, probs, 1.0))).sum(axis=1)
 
 
-def entropy(p) -> float:
-    """Shannon entropy in nats of one probability vector."""
-    p = np.asarray(p, dtype=float)
-    if (p < 0).any() or abs(float(p.sum()) - 1.0) > 1e-6:
-        raise ValueError("not a probability vector: %r" % (p,))
-    return float(entropy_rows(p.reshape(1, -1))[0])
-
-
 @dataclass
 class SelectionState:
     """Without-replacement pool over train rows, kept in the order given,
     and the SEU scores `seu_sampler` last worked out (None before)."""
 
     pool: list
-    queried: list = field(default_factory=list)
     seu: Optional[SeuScores] = None
 
     def take(self, row):
         self.pool.remove(row)
-        self.queried.append(row)
         return row
 
 
@@ -51,7 +41,7 @@ def random_sampler(state: SelectionState, rng) -> int:
     return state.take(state.pool[rng.randrange(len(state.pool))])
 
 
-def uncertainty_sampler(state: SelectionState, model, features, rng=None) -> int:
+def uncertainty_sampler(state: SelectionState, model, features, rng) -> int:
     """Pick the pool row whose `features` row has maximal predictive entropy
     under the current downstream model; ties go to the earliest in the pool.
     Falls back to a random draw before the first model exists.
@@ -65,8 +55,6 @@ def uncertainty_sampler(state: SelectionState, model, features, rng=None) -> int
     if not state.pool:
         raise PoolExhausted("selection pool is empty")
     if model is None:
-        if rng is None:
-            return state.take(state.pool[0])
         return random_sampler(state, rng)
     pool = state.pool
     scores = entropy_rows(predict_proba(model, features[pool])).tolist()
@@ -77,36 +65,28 @@ def uncertainty_sampler(state: SelectionState, model, features, rng=None) -> int
     return state.take(pool[best])
 
 
-def expected_utility(candidates) -> float:
-    """Candidates are (accuracy, n_new_coverage) pairs.
-
-    The candidate distribution is proportional to accuracy, each candidate's
-    utility is accuracy * new coverage, and the score is the expectation.
-    """
-    total = sum(a for a, _ in candidates)
-    if total <= 0:
-        return 0.0
-    return sum((a / total) * (a * ncov) for a, ncov in candidates)
+# the accuracy SEU gives a candidate (gram, label) that no admitted LF measured
+PRIOR_ACCURACY = 0.5
 
 
 class SeuScores:
     """SEU scores of train rows under one set of inputs, and those inputs.
 
-    The inputs are `seu_sampler`'s index, labels, uncovered mask, accuracy
-    map and prior, copied so that a caller changing its own arrays in place
+    The inputs are `seu_sampler`'s index, labels, uncovered mask and
+    accuracy map, copied so that a caller changing its own arrays in place
     is seen as a change. From them come each gram's new coverage (`cover`)
     and each (label, gram) accuracy (`table`). `scores` holds a score for
     each row `scored` marks.
     """
 
-    def __init__(self, index: KeywordIndex, labels, uncovered, accuracy, prior: float):
-        self.index, self.accuracy, self.prior = index, dict(accuracy), float(prior)
+    def __init__(self, index: KeywordIndex, labels, uncovered, accuracy):
+        self.index, self.accuracy = index, dict(accuracy)
         self.labels, self.uncovered = np.array(labels), np.array(uncovered)
         n_grams = len(index.gram_ids)
         self.cover = np.bincount(index.ids[np.repeat(self.uncovered, np.diff(index.indptr))],
                                  minlength=n_grams)
         n_labels = int(self.labels.max()) + 1
-        self.table = np.full((n_labels, n_grams), self.prior)
+        self.table = np.full((n_labels, n_grams), PRIOR_ACCURACY)
         for (gram, label), acc in self.accuracy.items():
             gram_id = index.gram_ids.get(gram)
             if gram_id is not None and 0 <= label < n_labels:
@@ -114,9 +94,9 @@ class SeuScores:
         self.scores = np.zeros(len(self.labels))
         self.scored = np.zeros(len(self.labels), dtype=bool)
 
-    def holds(self, index, labels, uncovered, accuracy, prior) -> bool:
+    def holds(self, index, labels, uncovered, accuracy) -> bool:
         """Whether these are the inputs the scores came from."""
-        return (index is self.index and float(prior) == self.prior and accuracy == self.accuracy
+        return (index is self.index and accuracy == self.accuracy
                 and np.array_equal(labels, self.labels)
                 and np.array_equal(uncovered, self.uncovered))
 
@@ -140,8 +120,8 @@ class SeuScores:
         return self.scores[rows].tolist()
 
 
-def seu_sampler(state: SelectionState, index: KeywordIndex, labels, uncovered, accuracy,
-                pool_cap: Optional[int] = None, rng=None, prior: float = 0.5) -> int:
+def seu_sampler(state: SelectionState, index: KeywordIndex, labels, uncovered, accuracy, rng,
+                pool_cap: Optional[int] = None) -> int:
     """Pick the pool row whose candidate LFs have maximal expected utility;
     ties go to the earliest in the pool.
 
@@ -149,15 +129,17 @@ def seu_sampler(state: SelectionState, index: KeywordIndex, labels, uncovered, a
     row's label (its posterior argmax) and `uncovered` marks the rows no
     admitted LF covers. A row's candidates are its 1-3-grams, each for the
     row's label, with the accuracy `accuracy` gives that (gram, label) or
-    `prior`, and covering the uncovered rows that hold the gram. The score
-    is `expected_utility` of the candidates, computed for many rows at once
-    from the rows' gram ids, read straight from the index's CSR arrays
-    (`ids`, `indptr`), so the arrays it builds are the size of the scored
-    rows' n-grams. `np.bincount` sums each row's accuracies and utility
-    terms first to last, in `extract_ngrams` order, so every score equals
-    Python's left-to-right `sum` bit for bit. A pool longer than
-    `pool_cap` is cut to its first `pool_cap` rows, or with `rng` to a
-    sample of that many, kept in pool order.
+    PRIOR_ACCURACY, and covering the uncovered rows that hold the gram.
+    The score is the candidates' expected utility: each candidate is drawn
+    with probability proportional to its accuracy a and is worth a times
+    its new coverage, and a row whose accuracies total 0 scores 0. It is
+    computed for many rows at once from the rows' gram ids, read straight
+    from the index's CSR arrays (`ids`, `indptr`), so the arrays it builds
+    are the size of the scored rows' n-grams. `np.bincount` sums each row's
+    accuracies and utility terms first to last, in `extract_ngrams` order,
+    so every score equals Python's left-to-right `sum` bit for bit. A pool
+    longer than `pool_cap` is cut to an `rng.sample` of that many rows,
+    kept in pool order.
 
     Scores are kept on `state` (`SeuScores`) with the inputs they came
     from, and reused while the next call passes equal inputs: only pool
@@ -171,12 +153,9 @@ def seu_sampler(state: SelectionState, index: KeywordIndex, labels, uncovered, a
         raise PoolExhausted("selection pool is empty")
     pool = state.pool
     if pool_cap is not None and len(pool) > pool_cap:
-        if rng is None:
-            pool = pool[:pool_cap]
-        else:
-            pool = [pool[k] for k in sorted(rng.sample(range(len(pool)), pool_cap))]
-    if state.seu is None or not state.seu.holds(index, labels, uncovered, accuracy, prior):
-        state.seu = SeuScores(index, labels, uncovered, accuracy, prior)
+        pool = [pool[k] for k in sorted(rng.sample(range(len(pool)), pool_cap))]
+    if state.seu is None or not state.seu.holds(index, labels, uncovered, accuracy):
+        state.seu = SeuScores(index, labels, uncovered, accuracy)
     scores = state.seu.of(np.array(pool, dtype=np.int64))
 
     best = 0

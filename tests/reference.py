@@ -1,0 +1,56 @@
+"""Reference implementations the tests check the program against.
+
+Each is the plain, one-case-at-a-time form of something the program works
+out in bulk: the Dawid-Skene objective at given parameters, the entropy of
+one probability vector, the expected utility of one row's candidate LFs,
+and one mock-oracle response.
+"""
+
+import numpy as np
+
+from weaklab.aggregate import _penalized_log_likelihood, _vote_design
+from weaklab.plmclient import MockOracleConfig, _analyse_passage, _draw_response
+from weaklab.select import entropy_rows
+
+
+def em_log_likelihood(entries, prior, confusions, propensities, smoothing):
+    """Penalized observed-data log-likelihood at the given parameters.
+
+    Per LF and instance the likelihood factor is
+    propensity[k] * confusion[k, vote] when the LF voted and
+    1 - propensity[k] when it abstained. The penalty is the Dirichlet/Beta
+    term matching additive smoothing in the M-step; at smoothing 0 this is
+    the plain log-likelihood. Returns (objective, per-instance class
+    log-likelihood matrix).
+    """
+    design = _vote_design(entries, prior.shape[0])
+    ll, log_like, _ = _penalized_log_likelihood(design, prior, confusions, propensities,
+                                                smoothing)
+    return ll, log_like
+
+
+def entropy(p) -> float:
+    """Shannon entropy in nats of one probability vector."""
+    p = np.asarray(p, dtype=float)
+    if (p < 0).any() or abs(float(p.sum()) - 1.0) > 1e-6:
+        raise ValueError("not a probability vector: %r" % (p,))
+    return float(entropy_rows(p.reshape(1, -1))[0])
+
+
+def expected_utility(candidates) -> float:
+    """Candidates are (accuracy, n_new_coverage) pairs.
+
+    The candidate distribution is proportional to accuracy, each candidate's
+    utility is accuracy * new coverage, and the score is the expectation.
+    """
+    total = sum(a for a, _ in candidates)
+    if total <= 0:
+        return 0.0
+    return sum((a / total) * (a * ncov) for a, ncov in candidates)
+
+
+def mock_oracle_respond(config: MockOracleConfig, instance, task_kind: str, cot: bool,
+                        draw_index: int = 0) -> str:
+    """One synthetic response, deterministic given (seed, query id, draw index)."""
+    return _draw_response(config, _analyse_passage(config, instance), task_kind, cot,
+                          draw_index)

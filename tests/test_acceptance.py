@@ -27,21 +27,16 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from reference import entropy, expected_utility
 from weaklab import aggregate, labelfns, pipeline
 from weaklab.aggregate import LabelModelKind, dawid_skene_em, majority_vote
 from weaklab.corpus import Dataset, Instance, LoadError, TEXT_TASK, load_dataset, save_dataset
-from weaklab.downstream import LinearModel, loss_and_grad, predict_proba, train_logreg
+from weaklab.downstream import FeatureSpace, LinearModel, loss_and_grad, predict_proba, train_logreg
 from weaklab.labelfns import ABSTAIN, KEYWORD, KeywordIndex, LFError
 from weaklab.lfgate import FilterConfig, accuracy_filter, redundancy_filter
 from weaklab.pipeline import RunConfig, compute_metrics, generate_synthetic, run, write_synthetic
 from weaklab.prompting import ParsedResponse, PromptSpec, aggregate_sc, cosine_distance, kate_neighbors
-from weaklab.select import (
-    SelectionState,
-    entropy,
-    expected_utility,
-    seu_sampler,
-    uncertainty_sampler,
-)
+from weaklab.select import SelectionState, seu_sampler, uncertainty_sampler
 
 
 # --------------------------------------------------------------------------
@@ -373,7 +368,7 @@ def test_samplers_match_brute_force_references():
             if h > best + 1e-15:
                 best, expected = h, row
         state = SelectionState(pool=list(pool))
-        assert uncertainty_sampler(state, model, features) == expected
+        assert uncertainty_sampler(state, model, features, random.Random(0)) == expected
 
     from weaklab.corpus import EmbeddingTable
     for _ in range(100):
@@ -399,7 +394,8 @@ def test_samplers_match_brute_force_references():
     labels = np.array([1, 1] + [0] * 13)
     uncovered = np.arange(len(texts)) >= 2
     accuracy = {("alpha", 1): 1.0, ("beta", 1): 0.9}
-    assert seu_sampler(SelectionState(pool=[0, 1]), index, labels, uncovered, accuracy) == 0
+    assert seu_sampler(SelectionState(pool=[0, 1]), index, labels, uncovered, accuracy,
+                       random.Random(0)) == 0
 
     # positive rescaling of utilities (here: of the coverage counts) scales
     # every score linearly and cannot change the ranking
@@ -561,13 +557,14 @@ def test_metric_suite_hand_computed():
                                         proposed=1, admitted=0, verdicts=[])
                for t, (lab, gold) in enumerate([(1, 1), (0, 0), (1, 0), (1, 1)])]
 
-    # one-hot features + identity weights make the model predict test_pred
-    test_features = np.zeros((5, 2))
-    test_features[np.arange(5), test_pred] = 1.0
+    # a hand-built space features test text "t<i>" as the one-hot column
+    # test_pred[i], and identity weights make the model predict test_pred
+    space = FeatureSpace(vocabulary={"t%d" % i: c for i, c in enumerate(test_pred)},
+                         idf=np.ones(2), dim=2)
     model = LinearModel(weights=np.eye(2), bias=np.zeros(2), l2=0.0)
 
-    metrics = compute_metrics(dataset, lfs, list(matrix.T), problabels, model, None, records,
-                              positive_class=1, test_features=test_features)
+    metrics = compute_metrics(dataset, lfs, list(matrix.T), problabels, model, space, records,
+                              positive_class=1)
     assert metrics["plm_acc"] == pytest.approx(3 / 4)         # 3 of 4 labels correct
     assert metrics["lf_num"] == 2
     assert metrics["lf_acc_avg"] == pytest.approx((0.75 + 0.5) / 2)

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference import em_log_likelihood
 from weaklab import aggregate
 from weaklab.aggregate import (
     DawidSkeneResult,
     LabelModelKind,
     ProbLabels,
     dawid_skene_em,
-    em_log_likelihood,
     majority_vote,
     resolve_training_labels,
     weighted_vote,

@@ -193,7 +193,7 @@ def _embed_file(tmp_path, rows):
 def test_load_embeddings_ok(tmp_path, text_dataset):
     rows = [{"id": inst.id, "vector": [1.0, float(inst.id)]}
             for inst in text_dataset.train + text_dataset.valid]
-    table = corpus.load_embeddings(_embed_file(tmp_path, rows), text_dataset, ("train", "valid"))
+    table = corpus.load_embeddings(_embed_file(tmp_path, rows), text_dataset)
     assert table.dim == 2
     assert len(table.rows) == len(rows)
 
@@ -201,22 +201,41 @@ def test_load_embeddings_ok(tmp_path, text_dataset):
 def test_load_embeddings_missing_id(tmp_path, text_dataset):
     rows = [{"id": inst.id, "vector": [1.0]} for inst in text_dataset.train if inst.id != 3]
     with pytest.raises(LoadError, match="missing for instance 3"):
-        corpus.load_embeddings(_embed_file(tmp_path, rows), text_dataset, ("train",))
+        corpus.load_embeddings(_embed_file(tmp_path, rows), text_dataset)
 
 
 def test_load_embeddings_dim_mismatch(tmp_path, text_dataset):
     rows = [{"id": 0, "vector": [1.0, 2.0]}, {"id": 1, "vector": [1.0, 2.0, 3.0]}]
     with pytest.raises(LoadError, match="dimension mismatch"):
-        corpus.load_embeddings(_embed_file(tmp_path, rows), text_dataset, ("train",))
+        corpus.load_embeddings(_embed_file(tmp_path, rows), text_dataset)
 
 
 def test_load_embeddings_zero_vector(tmp_path, text_dataset):
     rows = [{"id": inst.id, "vector": [0.0, 0.0]} for inst in text_dataset.train]
     with pytest.raises(LoadError, match="zero vector"):
-        corpus.load_embeddings(_embed_file(tmp_path, rows), text_dataset, ("train",))
+        corpus.load_embeddings(_embed_file(tmp_path, rows), text_dataset)
 
 
 def test_load_embeddings_line_that_is_not_an_object(tmp_path, text_dataset):
     rows = [{"id": 0, "vector": [1.0, 2.0]}, ["x"]]
     with pytest.raises(LoadError, match="line 2 .*not a JSON object"):
-        corpus.load_embeddings(_embed_file(tmp_path, rows), text_dataset, ("train",))
+        corpus.load_embeddings(_embed_file(tmp_path, rows), text_dataset)
+
+
+@pytest.mark.parametrize("line, match", [
+    ('{"id": true, "vector": [1.0, 2.0]}', "integer id"),  # would load as instance 1's row
+    ('{"id": "1", "vector": [1.0, 2.0]}', "integer id"),
+    ('{"id": 1, "vector": [1, null]}', "finite numbers"),
+    ('{"id": 1, "vector": [1e400, 1]}', "finite numbers"),  # JSON reads it as inf
+    ('{"id": 1, "vector": [NaN, 1]}', "finite numbers"),
+    pytest.param('{"id": 1, "vector": [%s, 1]}' % ("9" * 400), "finite numbers",
+                 id="an-integer-past-the-float-range"),
+    ('{"id": 1, "vector": [[1, 2]]}', "finite numbers"),
+    ('{"id": 1, "vector": ["a", 1]}', "finite numbers"),
+    ('{"id": 1, "vector": [true, 1]}', "finite numbers"),
+])
+def test_load_embeddings_rejects_a_bad_line(tmp_path, text_dataset, line, match):
+    path = tmp_path / "emb.jsonl"
+    path.write_text('{"id": 0, "vector": [1.0, 2.0]}\n' + line + "\n")
+    with pytest.raises(LoadError, match="line 2: .*" + match):
+        corpus.load_embeddings(path, text_dataset)

@@ -12,7 +12,6 @@ from weaklab.downstream import (
     accuracy_score,
     binary_f1,
     evaluate,
-    featurize,
     featurize_all,
     fit_tfidf,
     loss_and_grad,
@@ -48,16 +47,16 @@ class TestTfidf:
     def test_vectors_are_l2_normalized(self):
         space = fit_tfidf(self.CORPUS)
         for text in self.CORPUS:
-            assert np.linalg.norm(featurize(space, text)) == pytest.approx(1.0)
+            assert np.linalg.norm(featurize_all(space, [text])[0]) == pytest.approx(1.0)
 
     def test_oov_tokens_ignored(self):
         space = fit_tfidf(self.CORPUS)
-        assert np.array_equal(featurize(space, "zebra quux"), np.zeros(space.dim))
+        assert np.array_equal(featurize_all(space, ["zebra quux"])[0], np.zeros(space.dim))
 
     def test_repeated_token_counts(self):
         space = fit_tfidf(["a b", "a c"])
-        v1 = featurize(space, "a a b")
-        v2 = featurize(space, "a b")
+        v1 = featurize_all(space, ["a a b"])[0]
+        v2 = featurize_all(space, ["a b"])[0]
         # doubling the count of "a" tilts the normalized vector toward "a"
         assert v1[space.vocabulary["a"]] > v2[space.vocabulary["a"]]
 
@@ -73,7 +72,7 @@ class TestTfidf:
         got = featurize_all(space, texts)
         for row, text in zip(got, texts):
             assert row.tolist() == _featurize_reference(space, text).tolist()
-            assert featurize(space, text).tolist() == row.tolist()
+            assert featurize_all(space, [text])[0].tolist() == row.tolist()
 
 
 def _featurize_reference(space, text):
@@ -376,14 +375,12 @@ class TestMetrics:
         assert predicted[0].tolist() == want.tolist()
         assert max(block_rows, default=0) <= EVAL_BLOCK and sum(block_rows) == n_test
 
-    @pytest.mark.parametrize("given_features", [False, True])
-    def test_evaluate_rejects_an_empty_split(self, given_features):
+    def test_evaluate_rejects_an_empty_split(self):
         # the mean of no predictions would be NaN, which is not a score
         model = LinearModel(weights=np.zeros((2, 1)), bias=np.zeros(2), l2=0.0)
         space = fit_tfidf(["a"])
-        features = np.zeros((0, 1)) if given_features else None
         with pytest.raises(ValueError, match="empty split"):
-            evaluate(model, space, [], "accuracy", features=features)
+            evaluate(model, space, [], "accuracy")
 
     def test_evaluate_unknown_metric(self):
         model = LinearModel(weights=np.zeros((2, 1)), bias=np.zeros(2), l2=0.0)

@@ -58,6 +58,40 @@ class TestRunConfig:
         config = RunConfig(seed=3, sampler="seu")
         assert RunConfig.from_dict(config.to_dict()) == config
 
+    @pytest.mark.parametrize("name, value, match", [
+        # truthy strings would switch lazy retraining on and keep the filter on
+        ("lazy_retrain", "false", "lazy_retrain takes true or false, not 'false'"),
+        ("enable_redundancy", "false", "enable_redundancy takes true or false, not 'false'"),
+        ("enable_accuracy", 0, "enable_accuracy takes true or false, not 0"),
+        ("n_iterations", True, "n_iterations takes an integer, not True"),
+        ("n_iterations", 8.0, "n_iterations takes an integer, not 8.0"),
+        ("seed", "0", "seed takes an integer, not '0'"),
+        ("l2", False, "l2 takes a number, not False"),
+        ("temperature", "0.5", "temperature takes a number, not '0.5'"),
+        ("seu_pool_cap", 2.5, "seu_pool_cap takes an integer or null, not 2.5"),
+        ("mock_seed", True, "mock_seed takes an integer or null, not True"),
+        ("embeddings_path", 3, "embeddings_path takes a string or null, not 3"),
+        ("train_path", None, "train_path takes a string, not None"),
+        ("mock_signatures", [["sig"]], r"mock_signatures takes an object, not \[\['sig'\]\]"),
+    ])
+    def test_value_of_the_wrong_json_type_rejected(self, name, value, match):
+        with pytest.raises(ValueError, match="config field " + match):
+            RunConfig.from_dict({name: value})
+
+    @pytest.mark.parametrize("name, value", [
+        ("lazy_retrain", False), ("n_iterations", 8), ("temperature", 1), ("l2", 0.5),
+        ("seu_pool_cap", None), ("mock_seed", None), ("embeddings_path", "emb.jsonl"),
+        ("mock_signatures", {"class0": ["sig"]}),
+    ])
+    def test_value_that_fits_loads(self, name, value):
+        assert getattr(RunConfig.from_dict({name: value}), name) == value
+
+    def test_every_field_names_itself(self):
+        # a list fits no field's type
+        for name in RunConfig.__dataclass_fields__:
+            with pytest.raises(ValueError, match=r"config field %s takes .*, not \[\]$" % name):
+                RunConfig.from_dict({name: []})
+
 
 class TestSyntheticCorpus:
     def test_split_sizes_and_unique_ids(self):
@@ -100,6 +134,11 @@ class TestSyntheticCorpus:
         ('{"id": 3, "patterns": ["{{E1}} wed {{E2}}", 7]}',
          r"line 2 .*patterns must be a list of strings"),
         ('{"id": 3, "rationale": ["why"]}', r"line 2 .*rationale must be a string or null"),
+        # "0" would be stored under the string and match no instance, and
+        # true would annotate instance 1
+        ('{"id": "0", "keywords": ["free"]}', r"line 2 .*id must be an integer, not '0'"),
+        ('{"id": true, "keywords": ["free"]}', r"line 2 .*id must be an integer, not True"),
+        ('{"id": null, "keywords": ["free"]}', r"line 2 .*id must be an integer, not None"),
     ])
     def test_bad_annotation_line_is_named(self, tmp_path, line, match):
         path = tmp_path / "annotations.jsonl"

@@ -4,6 +4,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from reference import mock_oracle_respond
 from weaklab import plmclient
 from weaklab.corpus import Dataset, EntitySpan, Instance, TEXT_TASK, RELATION_TASK
 from weaklab.plmclient import (
@@ -18,7 +19,6 @@ from weaklab.plmclient import (
     TranscriptRecord,
     complete,
     load_transcript,
-    mock_oracle_respond,
     request_hash,
     request_to_dict,
     save_transcript,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference import entropy, expected_utility
 from weaklab.corpus import Instance, extract_ngrams, tokenize
 from weaklab.downstream import LinearModel, predict_proba
 from weaklab.labelfns import KeywordIndex
@@ -13,9 +14,7 @@ from weaklab.select import (
     PoolExhausted,
     SelectionState,
     SeuScores,
-    entropy,
     entropy_rows,
-    expected_utility,
     random_sampler,
     seu_sampler,
     uncertainty_sampler,
@@ -53,9 +52,8 @@ class TestEntropy:
 class TestSelectionState:
     def test_without_replacement(self):
         state = SelectionState(pool=[3, 1, 2])
-        state.take(1)
+        assert state.take(1) == 1
         assert state.pool == [3, 2]
-        assert state.queried == [1]
 
 
 class TestRandomSampler:
@@ -95,13 +93,13 @@ class TestUncertaintySampler:
     def test_picks_highest_entropy(self):
         features = np.array([[5.0], [0.1], [-4.0]])
         state = SelectionState(pool=[0, 1, 2])
-        assert uncertainty_sampler(state, self._model(), features) == 1
+        assert uncertainty_sampler(state, self._model(), features, random.Random(0)) == 1
 
     def test_tie_breaks_to_lowest_id(self):
         # rows 0 and 1 hold instances 7 and 4; the pool lists them in id order
         features = np.array([[2.0], [2.0]])
         state = SelectionState(pool=[1, 0])
-        assert uncertainty_sampler(state, self._model(), features) == 1
+        assert uncertainty_sampler(state, self._model(), features, random.Random(0)) == 1
 
     def test_duplicate_rows_pick_the_lowest_id(self):
         model = LinearModel(weights=np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]),
@@ -112,7 +110,8 @@ class TestUncertaintySampler:
         features[3], features[7] = [4.0, 0.0], [0.0, -3.0]
         pool = [3, 5, 7, 9, 11]
         assert _scan_pick(pool, model, features) == 5
-        assert uncertainty_sampler(SelectionState(pool=pool), model, features) == 5
+        assert uncertainty_sampler(SelectionState(pool=pool), model, features,
+                                   random.Random(0)) == 5
 
     def test_rows_with_exact_zero_probabilities(self):
         # a logit gap of 800 underflows exp to 0.0: row 6 scores (0, 1/2, 1/2),
@@ -125,7 +124,8 @@ class TestUncertaintySampler:
         pool = [1, 2, 4, 6, 8]
         assert (predict_proba(model, features[6])[0] == [0.0, 0.5, 0.5]).all()
         assert _scan_pick(pool, model, features) == 6
-        assert uncertainty_sampler(SelectionState(pool=pool), model, features) == 6
+        assert uncertainty_sampler(SelectionState(pool=pool), model, features,
+                                   random.Random(0)) == 6
 
     def test_matches_the_per_row_scan(self):
         # random 2- to 4-class models over small integer features, so rows
@@ -141,7 +141,8 @@ class TestUncertaintySampler:
             for row in pool:
                 features[row] = rng.integers(-2, 3, size=dim)
             want = _scan_pick(pool, model, features)
-            assert uncertainty_sampler(SelectionState(pool=pool), model, features) == want
+            assert uncertainty_sampler(SelectionState(pool=pool), model, features,
+                                       random.Random(0)) == want
 
     def test_no_model_falls_back_to_random(self):
         state = SelectionState(pool=[5, 6, 7])
@@ -149,13 +150,10 @@ class TestUncertaintySampler:
         picked = uncertainty_sampler(state, None, None, rng)
         assert picked in (5, 6, 7)
 
-    def test_no_model_no_rng_takes_lowest(self):
-        state = SelectionState(pool=[5, 6, 7])
-        assert uncertainty_sampler(state, None, None) == 5
-
     def test_empty_pool(self):
         with pytest.raises(PoolExhausted):
-            uncertainty_sampler(SelectionState(pool=[]), self._model(), np.zeros((0, 1)))
+            uncertainty_sampler(SelectionState(pool=[]), self._model(), np.zeros((0, 1)),
+                                random.Random(0))
 
 
 class TestExpectedUtility:
@@ -198,44 +196,46 @@ class TestSeuSampler:
         # are unknown (prior accuracy, low coverage).
         state = SelectionState(pool=[0, 1, 2])
         picked = seu_sampler(state, index, np.ones(3, dtype=np.int64), _rows(3, {0, 2}),
-                             {("alpha", 1): 1.0})
+                             {("alpha", 1): 1.0}, random.Random(0))
         assert picked in (0, 2)
 
     def test_tie_breaks_to_lowest_id(self):
         # the pool lists the rows in id order
         index = KeywordIndex([Instance(id=1, text="same text"), Instance(id=0, text="same text")])
         state = SelectionState(pool=[1, 0])
-        assert seu_sampler(state, index, np.zeros(2, dtype=np.int64), _rows(2, {0, 1}), {}) == 1
+        assert seu_sampler(state, index, np.zeros(2, dtype=np.int64), _rows(2, {0, 1}), {},
+                           random.Random(0)) == 1
 
     def test_pool_cap_subsamples_deterministically(self):
         index = _index(*["tok%d" % i for i in range(20)])
         labels, uncovered = np.zeros(20, dtype=np.int64), _rows(20, range(20))
         state = SelectionState(pool=list(range(20)))
-        first = seu_sampler(state, index, labels, uncovered, {}, pool_cap=5,
-                            rng=random.Random(7))
+        first = seu_sampler(state, index, labels, uncovered, {}, random.Random(7), pool_cap=5)
         state2 = SelectionState(pool=list(range(20)))
-        assert seu_sampler(state2, index, labels, uncovered, {}, pool_cap=5,
-                           rng=random.Random(7)) == first
+        assert seu_sampler(state2, index, labels, uncovered, {}, random.Random(7),
+                           pool_cap=5) == first
 
     def test_coverage_drives_choice(self):
         # identical accuracies; row 0's gram covers 2 uncovered rows, row 1's
         # covers none.
         index = _index("shared", "unique", "shared", "shared")
         state = SelectionState(pool=[0, 1])
-        assert seu_sampler(state, index, np.zeros(4, dtype=np.int64), _rows(4, {2, 3}), {}) == 0
+        assert seu_sampler(state, index, np.zeros(4, dtype=np.int64), _rows(4, {2, 3}), {},
+                           random.Random(0)) == 0
 
     def test_empty_pool(self):
         with pytest.raises(PoolExhausted):
             seu_sampler(SelectionState(pool=[]), _index(), np.zeros(0, dtype=np.int64),
-                        np.zeros(0, dtype=bool), {})
+                        np.zeros(0, dtype=bool), {}, random.Random(0))
 
 
-def _reference_candidates(instance, label, accuracy, prior, cover_count):
-    return [(accuracy.get((gram, label), prior), cover_count(gram))
+def _reference_candidates(instance, label, accuracy, cover_count):
+    # a (gram, label) without a measured accuracy has SEU's prior accuracy, 0.5
+    return [(accuracy.get((gram, label), 0.5), cover_count(gram))
             for gram in extract_ngrams(tokenize(instance.text), 1, 3)]
 
 
-def _reference_scores(train, labels, uncovered, accuracy, prior, rows):
+def _reference_scores(train, labels, uncovered, accuracy, rows):
     """`expected_utility` of each of `rows`, from tokenizing every uncovered
     row and every scored row."""
     uncovered_grams = {}
@@ -244,20 +244,18 @@ def _reference_scores(train, labels, uncovered, accuracy, prior, rows):
             for gram in set(extract_ngrams(tokenize(inst.text), 1, 3)):
                 uncovered_grams[gram] = uncovered_grams.get(gram, 0) + 1
     return [expected_utility(_reference_candidates(
-        train[row], labels[row], accuracy, prior, lambda gram: uncovered_grams.get(gram, 0)))
+        train[row], labels[row], accuracy, lambda gram: uncovered_grams.get(gram, 0)))
         for row in rows]
 
 
-def _reference_seu_pick(state, train, labels, uncovered, accuracy, prior, pool_cap=None,
-                        rng=None):
+def _reference_seu_pick(state, train, labels, uncovered, accuracy, pool_cap, rng):
     """The per-row SEU scan: score each pool row with `_reference_scores` in
     pool order, and keep the first of scores within 1e-12 of each other. A
     capped pool is an `rng.sample` of the pool, put back in pool order."""
     pool = state.pool
     if pool_cap is not None and len(pool) > pool_cap:
-        pool = pool[:pool_cap] if rng is None else sorted(rng.sample(pool, pool_cap),
-                                                          key=pool.index)
-    scores = _reference_scores(train, labels, uncovered, accuracy, prior, pool)
+        pool = sorted(rng.sample(pool, pool_cap), key=pool.index)
+    scores = _reference_scores(train, labels, uncovered, accuracy, pool)
     best_row, best_score = None, -math.inf
     for row, score in zip(pool, scores):
         if score > best_score + 1e-12:
@@ -266,8 +264,8 @@ def _reference_seu_pick(state, train, labels, uncovered, accuracy, prior, pool_c
 
 
 # Few tokens and separators, so texts repeat, grams repeat within a row and
-# punctuation splits tokens; accuracies include 0 and a prior of 0, so a
-# row's accuracy total can be 0.
+# punctuation splits tokens; accuracies include 0, and some rows have every
+# gram measured at 0 for their label, so a row's accuracy total can be 0.
 _TOKENS = ["alpha", "beta", "gamma", "Beta", "delta"]
 _SEPARATORS = [" ", ", ", "! ", "-"]
 _ACCURACIES = st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.6, 2 / 3, 0.7, 0.9, 1.0])
@@ -295,10 +293,12 @@ def seu_cases(draw, uneven=False):
     grams += ["zeta", "alpha zeta"]  # accuracy keys for grams no row holds
     keys = st.tuples(st.sampled_from(grams), st.integers(0, n_classes - 1))
     accuracy = draw(st.dictionaries(keys, _ACCURACIES, max_size=10))
-    prior = draw(st.sampled_from([0.0, 0.5]))
+    for row in draw(st.sets(st.integers(0, len(ids) - 1), max_size=2)):
+        accuracy.update({(gram, int(labels[row])): 0.0
+                         for gram in extract_ngrams(tokenize(texts[row]), 1, 3)})
     pool_cap = draw(st.one_of(st.none(), st.integers(1, len(ids))))
     pool = sorted(range(len(ids)), key=lambda row: ids[row])
-    return train, labels, uncovered, accuracy, prior, pool_cap, draw(st.integers(0, 10)), pool
+    return train, labels, uncovered, accuracy, pool_cap, draw(st.integers(0, 10)), pool
 
 
 # `expected_utility` adds a row's terms left to right; numpy's `sum` pairs
@@ -306,9 +306,9 @@ def seu_cases(draw, uneven=False):
 @settings(max_examples=200, deadline=None)
 @given(seu_cases(uneven=True))
 def test_scores_equal_expected_utility_bit_for_bit(case):
-    train, labels, uncovered, accuracy, prior, _, _, pool = case
-    want = _reference_scores(train, labels, uncovered, accuracy, prior, pool)
-    scores = SeuScores(KeywordIndex(train), labels, uncovered, accuracy, prior)
+    train, labels, uncovered, accuracy, _, _, pool = case
+    want = _reference_scores(train, labels, uncovered, accuracy, pool)
+    scores = SeuScores(KeywordIndex(train), labels, uncovered, accuracy)
     assert scores.of(np.array(pool, dtype=np.int64)) == want
 
 
@@ -326,7 +326,7 @@ def test_one_long_row_does_not_inflate_a_pick():
     state = SelectionState(pool=list(range(len(texts))))
     tracemalloc.start()
     try:
-        seu_sampler(state, index, labels, uncovered, {("w1", 0): 0.9})
+        seu_sampler(state, index, labels, uncovered, {("w1", 0): 0.9}, random.Random(0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -346,17 +346,16 @@ class TestSeuMatchesPerRowScan:
 
     @staticmethod
     def _drain(case):
-        train, labels, uncovered, accuracy, prior, pool_cap, seed, pool = case
+        train, labels, uncovered, accuracy, pool_cap, seed, pool = case
         index = KeywordIndex(train)
         want_state, got_state = SelectionState(pool=list(pool)), SelectionState(pool=list(pool))
         want_rng, got_rng = random.Random(seed), random.Random(seed)
         while want_state.pool:
-            want = _reference_seu_pick(want_state, train, labels, uncovered, accuracy, prior,
+            want = _reference_seu_pick(want_state, train, labels, uncovered, accuracy,
                                        pool_cap, want_rng)
-            got = seu_sampler(got_state, index, labels, uncovered, accuracy, pool_cap, got_rng,
-                              prior)
+            got = seu_sampler(got_state, index, labels, uncovered, accuracy, got_rng, pool_cap)
             assert got == want
-        assert got_state.queried == want_state.queried
+        assert got_state.pool == []
 
     def test_duplicate_text_with_punctuation_picks_the_lowest_id(self):
         train = [Instance(id=5, text="beta, beta gamma!"), Instance(id=2, text="beta gamma"),
@@ -365,7 +364,7 @@ class TestSeuMatchesPerRowScan:
         state = SelectionState(pool=[1, 3, 0, 2])
         labels, uncovered = np.array([0, 1, 1, 0]), _rows(4, {1, 2, 3})
         picks = [seu_sampler(state, KeywordIndex(train), labels, uncovered,
-                             {("beta gamma", 1): 0.9}) for _ in range(4)]
+                             {("beta gamma", 1): 0.9}, random.Random(0)) for _ in range(4)]
         assert [train[row].id for row in picks] == [2, 9, 5, 4]
 
 
@@ -389,13 +388,12 @@ class TestSeuScoreReuse:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("capped", [False, True])
-    @pytest.mark.parametrize("change", [None, "labels", "uncovered", "accuracy", "prior"])
+    @pytest.mark.parametrize("change", [None, "labels", "uncovered", "accuracy"])
     def test_picks_equal_scoring_afresh(self, seed, capped, change):
         index, labels, uncovered, accuracy = _random_seu_inputs(seed)
-        prior = 0.5
         cap = 12 if capped else None
         kept = SelectionState(pool=list(range(len(labels))))
-        rng = random.Random(seed) if capped else None
+        rng = random.Random(seed)
         for step in range(30):
             if step == 10 and change == "labels":
                 labels[::3] = (labels[::3] + 1) % 3  # in place: the kept copy must see it
@@ -403,37 +401,34 @@ class TestSeuScoreReuse:
                 uncovered = ~uncovered
             elif step == 10 and change == "accuracy":
                 accuracy = {key: 1.0 - acc for key, acc in accuracy.items()}
-            elif step == 10 and change == "prior":
-                prior = 0.2
-            fresh_rng = None
-            if rng is not None:
-                fresh_rng = random.Random()
-                fresh_rng.setstate(rng.getstate())
+            fresh_rng = random.Random()
+            fresh_rng.setstate(rng.getstate())
             want = seu_sampler(SelectionState(pool=list(kept.pool)), index, labels, uncovered,
-                               accuracy, cap, fresh_rng, prior)
-            assert seu_sampler(kept, index, labels, uncovered, accuracy, cap, rng, prior) == want
+                               accuracy, fresh_rng, cap)
+            assert seu_sampler(kept, index, labels, uncovered, accuracy, rng, cap) == want
         assert kept.seu is not None
 
     def test_scores_are_reused_while_the_inputs_hold(self):
         index, labels, uncovered, accuracy = _random_seu_inputs(0)
         state = SelectionState(pool=list(range(len(labels))))
-        seu_sampler(state, index, labels, uncovered, accuracy)
+        seu_sampler(state, index, labels, uncovered, accuracy, random.Random(0))
         kept = state.seu
-        seu_sampler(state, index, labels.copy(), uncovered.copy(), dict(accuracy))
+        seu_sampler(state, index, labels.copy(), uncovered.copy(), dict(accuracy),
+                    random.Random(0))
         assert state.seu is kept
         changed = dict(accuracy)
         key = next(iter(changed))
         changed[key] = 1.0 - changed[key]
-        seu_sampler(state, index, labels, uncovered, changed)
+        seu_sampler(state, index, labels, uncovered, changed, random.Random(0))
         assert state.seu is not kept
 
     def test_capped_pool_scores_only_the_rows_drawn(self):
         index, labels, uncovered, accuracy = _random_seu_inputs(1)
         state = SelectionState(pool=list(range(len(labels))))
         rng = random.Random(3)
-        seu_sampler(state, index, labels, uncovered, accuracy, pool_cap=5, rng=rng)
+        seu_sampler(state, index, labels, uncovered, accuracy, rng, pool_cap=5)
         assert int(state.seu.scored.sum()) == 5
-        seu_sampler(state, index, labels, uncovered, accuracy, pool_cap=5, rng=rng)
+        seu_sampler(state, index, labels, uncovered, accuracy, rng, pool_cap=5)
         assert 5 < int(state.seu.scored.sum()) <= 10
 
     def test_a_changed_accuracy_moves_the_pick(self):
@@ -442,6 +437,6 @@ class TestSeuScoreReuse:
         labels, uncovered = np.zeros(3, dtype=np.int64), _rows(3, {0, 1, 2})
         accuracy = {("alpha", 0): 0.9, ("beta", 0): 0.8, ("gamma", 0): 0.7}
         state = SelectionState(pool=[0, 1, 2])
-        assert seu_sampler(state, index, labels, uncovered, accuracy) == 0
+        assert seu_sampler(state, index, labels, uncovered, accuracy, random.Random(0)) == 0
         accuracy[("gamma", 0)] = 0.95  # a kept score of 0.7 would pick row 1
-        assert seu_sampler(state, index, labels, uncovered, accuracy) == 2
+        assert seu_sampler(state, index, labels, uncovered, accuracy, random.Random(0)) == 2
