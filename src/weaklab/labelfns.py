@@ -229,13 +229,16 @@ def apply_lf(lf: LabelFunction, instance: Instance) -> int:
 
 
 class KeywordIndex:
-    """One split's interned n-grams and a memo of LF matches.
+    """One split's interned n-grams, their postings and a memo of LF matches.
 
     Each instance's 1-3-grams (`extract_ngrams` order, so first occurrence
     first and no repeats) are stored as integer ids in CSR form: row i holds
     `ids[indptr[i]:indptr[i + 1]]`, and `gram_ids` maps a gram to its id.
-    A keyword LF fires on the rows that hold its gram's id. A pattern LF
-    goes through `apply_lf` only on instances that contain its template's
+    The postings list is the CSR transpose, built on the first keyword
+    match: the rows that hold gram id g, ascending, are
+    `rows[starts[g]:starts[g + 1]]`, so a keyword LF's vote column is one
+    slice of it, and its arrays are the size of `ids`. A pattern LF goes
+    through `apply_lf` only on instances that contain its template's
     required literal (`_required_literal`), plus those without entities, on
     which `apply_lf` raises; every instance when the template proves no
     literal. Whether an LF fires depends on its kind and payload alone, so
@@ -264,13 +267,22 @@ class KeywordIndex:
     ids = property(lambda self: self._interned[1])
     indptr = property(lambda self: self._interned[2])
 
+    @functools.cached_property
+    def _postings(self):
+        """(rows, starts): the rows of each gram id, grouped by id with a
+        stable sort of `ids`, so each group lists its rows in order."""
+        owner = np.repeat(np.arange(len(self.instances), dtype=np.int32), np.diff(self.indptr))
+        starts = np.zeros(len(self.gram_ids) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.ids, minlength=len(self.gram_ids)), out=starts[1:])
+        return owner[np.argsort(self.ids, kind="stable")], starts
+
     def _match(self, lf: LabelFunction) -> np.ndarray:
         hits = np.zeros(len(self.instances), dtype=bool)
         if lf.kind == KEYWORD:
             gram = self.gram_ids.get(" ".join(lf.tokens))
             if gram is not None:
-                hits[np.searchsorted(self.indptr, np.flatnonzero(self.ids == gram),
-                                     side="right") - 1] = True
+                rows, starts = self._postings
+                hits[rows[starts[gram]:starts[gram + 1]]] = True
             return hits
         literal = _required_literal(lf.payload)
         for i, inst in enumerate(self.instances):

@@ -231,7 +231,7 @@ def compute_metrics(dataset: Dataset, lfs, train_votes,
 
 
 def _load_annotations(path) -> dict:
-    annotations = {}
+    annotations, lines = {}, {}  # id -> annotation, id -> its line
     for line_no, obj in corpus.read_jsonl(path):
         if "id" not in obj:
             raise corpus.LoadError("line %d of %s: annotation without an id" % (line_no, path))
@@ -246,7 +246,10 @@ def _load_annotations(path) -> dict:
         if not isinstance(obj.get("rationale"), (str, type(None))):
             raise corpus.LoadError("line %d of %s: rationale must be a string or null, not %r"
                                    % (line_no, path, obj["rationale"]))
-        annotations[obj["id"]] = obj
+        if obj["id"] in lines:  # keeping either line would drop the other's payloads
+            raise corpus.LoadError("lines %d and %d of %s: both annotate id %d"
+                                   % (lines[obj["id"]], line_no, path, obj["id"]))
+        annotations[obj["id"]], lines[obj["id"]] = obj, line_no
     return annotations
 
 
@@ -476,7 +479,9 @@ def run(config: RunConfig, backend=None, dataset: Optional[Dataset] = None) -> R
 
     if complete_run and (config.lazy_retrain or problabels is None):
         problabels, model = refit(config, dataset, gate, X_train, model)
-    del X_train  # the metric suite builds its own test blocks; hold one dense block at a time
+    # the metric suite builds its own test blocks; hold one dense block at a
+    # time (the selection state's kept entropies hold the train matrix too)
+    del X_train, selection
 
     metrics = compute_metrics(dataset, gate.admitted, gate.train_votes, problabels,
                               model, space, records, positive_class)

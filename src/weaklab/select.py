@@ -24,14 +24,36 @@ def entropy_rows(probs: np.ndarray) -> np.ndarray:
 @dataclass
 class SelectionState:
     """Without-replacement pool over train rows, kept in the order given,
-    and the SEU scores `seu_sampler` last worked out (None before)."""
+    and the scores `uncertainty_sampler` and `seu_sampler` last worked out
+    (None before)."""
 
     pool: list
+    entropy: Optional[EntropyScores] = None
     seu: Optional[SeuScores] = None
 
     def take(self, row):
         self.pool.remove(row)
         return row
+
+
+def first_max(scores: np.ndarray, eps: float) -> int:
+    """The index `best` on which the loop `best = k if scores[k] >
+    scores[best] + eps`, run from best = 0 over k = 1, 2, ..., ends: the
+    earliest of scores within eps of each other wins a near-tie. A NaN
+    score is never picked after the first, and a NaN first score is kept.
+
+    The loop only ever moves to a strict running maximum, a score above
+    every earlier non-NaN score: any score it passed over was at most
+    scores[best] + eps then, and scores[best] only grows. So it runs over
+    those alone, found with `np.fmax.accumulate`, and ends on the index the
+    full loop ends on.
+    """
+    best = 0
+    ahead = np.flatnonzero(scores[1:] > np.fmax.accumulate(scores[:-1])) + 1
+    for k, score in zip(ahead.tolist(), scores[ahead].tolist()):
+        if score > scores[best] + eps:
+            best = k
+    return best
 
 
 def random_sampler(state: SelectionState, rng) -> int:
@@ -41,28 +63,45 @@ def random_sampler(state: SelectionState, rng) -> int:
     return state.take(state.pool[rng.randrange(len(state.pool))])
 
 
+class EntropyScores:
+    """The predictive entropy of every row of `features` under one model,
+    and the inputs it came from: `features`, held as the same object, and
+    copies of the model's weights and bias, so that a caller changing the
+    model in place is seen as a change."""
+
+    def __init__(self, model, features):
+        self.features = features
+        self.weights, self.bias = model.weights.copy(), model.bias.copy()
+        self.scores = entropy_rows(predict_proba(model, features))
+
+    def holds(self, model, features) -> bool:
+        """Whether these are the inputs the scores came from."""
+        return (features is self.features and np.array_equal(model.weights, self.weights)
+                and np.array_equal(model.bias, self.bias))
+
+
 def uncertainty_sampler(state: SelectionState, model, features, rng) -> int:
     """Pick the pool row whose `features` row has maximal predictive entropy
-    under the current downstream model; ties go to the earliest in the pool.
-    Falls back to a random draw before the first model exists.
+    under the current downstream model; ties go to the earliest in the pool
+    (`first_max`, within 1e-15). Falls back to a random draw before the
+    first model exists.
 
-    Unlike SEU's, these scores are worked out afresh on every call, even for
-    an unchanged model: `predict_proba`'s matrix product goes through BLAS,
-    whose blocking depends on how many rows are multiplied at once, so a
-    row's entropy can differ in the last bit between a full pool and a
-    smaller one. A kept score could then flip a near-tie and change a pick.
+    Every row of `features` is scored with one `predict_proba` over the
+    whole matrix, and the scores are kept on `state` (`EntropyScores`) with
+    the model and features they came from. A pick under an equal model and
+    the same features reuses them: `pipeline.refit` returns the same model
+    on an iteration that admits nothing once the classifier has converged.
+    Reuse is exact, since the product always runs over the same full
+    matrix, so a kept score is the bits a fresh one would be.
     """
     if not state.pool:
         raise PoolExhausted("selection pool is empty")
     if model is None:
         return random_sampler(state, rng)
+    if state.entropy is None or not state.entropy.holds(model, features):
+        state.entropy = EntropyScores(model, features)
     pool = state.pool
-    scores = entropy_rows(predict_proba(model, features[pool])).tolist()
-    best = 0
-    for k in range(1, len(pool)):
-        if scores[k] > scores[best] + 1e-15:
-            best = k
-    return state.take(pool[best])
+    return state.take(pool[first_max(state.entropy.scores[pool], 1e-15)])
 
 
 # the accuracy SEU gives a candidate (gram, label) that no admitted LF measured
@@ -100,7 +139,7 @@ class SeuScores:
                 and np.array_equal(labels, self.labels)
                 and np.array_equal(uncovered, self.uncovered))
 
-    def of(self, rows: np.ndarray) -> list:
+    def of(self, rows: np.ndarray) -> np.ndarray:
         """The scores of `rows`, working out those not scored yet."""
         fresh = rows[~self.scored[rows]]
         if len(fresh):
@@ -117,13 +156,13 @@ class SeuScores:
             utility = np.bincount(owner, weights=terms, minlength=len(fresh))
             self.scores[fresh] = np.where(positive, utility, 0.0)
             self.scored[fresh] = True
-        return self.scores[rows].tolist()
+        return self.scores[rows]
 
 
 def seu_sampler(state: SelectionState, index: KeywordIndex, labels, uncovered, accuracy, rng,
                 pool_cap: Optional[int] = None) -> int:
     """Pick the pool row whose candidate LFs have maximal expected utility;
-    ties go to the earliest in the pool.
+    ties go to the earliest in the pool (`first_max`, within 1e-12).
 
     `index` is a `KeywordIndex` over the train rows; `labels` holds each
     row's label (its posterior argmax) and `uncovered` marks the rows no
@@ -157,9 +196,4 @@ def seu_sampler(state: SelectionState, index: KeywordIndex, labels, uncovered, a
     if state.seu is None or not state.seu.holds(index, labels, uncovered, accuracy):
         state.seu = SeuScores(index, labels, uncovered, accuracy)
     scores = state.seu.of(np.array(pool, dtype=np.int64))
-
-    best = 0
-    for k in range(1, len(pool)):
-        if scores[k] > scores[best] + 1e-12:
-            best = k
-    return state.take(pool[best])
+    return state.take(pool[first_max(scores, 1e-12)])

@@ -3,7 +3,8 @@
 Each is the plain, one-case-at-a-time form of something the program works
 out in bulk: the Dawid-Skene objective at given parameters, the entropy of
 one probability vector, the expected utility of one row's candidate LFs,
-and one mock-oracle response.
+the samplers' pick loop over a pool's scores, the rows of a keyword index
+that hold one gram, and one mock-oracle response.
 """
 
 import numpy as np
@@ -47,6 +48,23 @@ def expected_utility(candidates) -> float:
     if total <= 0:
         return 0.0
     return sum((a / total) * (a * ncov) for a, ncov in candidates)
+
+
+def pick_loop(scores, eps) -> int:
+    """The index of the pick among `scores`, in pool order: a later score
+    displaces the best so far only when it is above it by more than eps, so
+    the earliest of near-tied scores wins."""
+    best = 0
+    for k in range(1, len(scores)):
+        if scores[k] > scores[best] + eps:
+            best = k
+    return best
+
+
+def keyword_rows(index, gram) -> np.ndarray:
+    """The rows of a `KeywordIndex` that hold gram id `gram`, ascending, from
+    comparing every gram id of the split with it."""
+    return np.searchsorted(index.indptr, np.flatnonzero(index.ids == gram), side="right") - 1
 
 
 def mock_oracle_respond(config: MockOracleConfig, instance, task_kind: str, cot: bool,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from reference import keyword_rows
 from weaklab import labelfns
 from weaklab.corpus import (
     Dataset,
@@ -266,6 +267,21 @@ class TestKeywordIndex:
         rows = [Instance(id=i, text="  ".join(tokens)) for i, tokens in enumerate(rows)]
         lf = kw(" ".join(phrase))
         assert KeywordIndex(rows).votes(lf).tolist() == [apply_lf(lf, r) for r in rows]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(["a", "b", "c"]), max_size=6), max_size=10),
+           st.lists(st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=3),
+                    max_size=4))
+    def test_keyword_votes_equal_the_gram_id_scan(self, rows, phrases):
+        # grams repeat within and across rows, rows may be empty, and a
+        # phrase with "d" or an unseen order is missing from the split
+        rows = [Instance(id=i, text=" ".join(tokens)) for i, tokens in enumerate(rows)]
+        index = KeywordIndex(rows)
+        grams = list(index.gram_ids) + [" ".join(phrase) for phrase in phrases]
+        for gram in grams:
+            gram_id = index.gram_ids.get(gram, len(index.gram_ids))
+            hits = np.flatnonzero(index.votes(kw(gram)) != ABSTAIN)
+            assert hits.tolist() == keyword_rows(index, gram_id).tolist()
 
     def test_rows_hold_their_grams_in_first_occurrence_order(self):
         rows = [Instance(id=i, text=text) for i, text in enumerate(KEYWORD_ROWS)]

@@ -139,6 +139,8 @@ class TestSyntheticCorpus:
         ('{"id": "0", "keywords": ["free"]}', r"line 2 .*id must be an integer, not '0'"),
         ('{"id": true, "keywords": ["free"]}', r"line 2 .*id must be an integer, not True"),
         ('{"id": null, "keywords": ["free"]}', r"line 2 .*id must be an integer, not None"),
+        # keeping either line would drop the other's keywords
+        ('{"id": 1, "keywords": ["gift"]}', r"lines 1 and 2 of .*: both annotate id 1$"),
     ])
     def test_bad_annotation_line_is_named(self, tmp_path, line, match):
         path = tmp_path / "annotations.jsonl"

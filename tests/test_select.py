@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference import entropy, expected_utility
+from reference import entropy, expected_utility, pick_loop
 from weaklab.corpus import Instance, extract_ngrams, tokenize
 from weaklab.downstream import LinearModel, predict_proba
 from weaklab.labelfns import KeywordIndex
@@ -15,6 +15,7 @@ from weaklab.select import (
     SelectionState,
     SeuScores,
     entropy_rows,
+    first_max,
     random_sampler,
     seu_sampler,
     uncertainty_sampler,
@@ -74,15 +75,58 @@ class TestRandomSampler:
             random_sampler(SelectionState(pool=[]), random.Random(0))
 
 
+# Scores for the tie-break: a few values that repeat exactly, with the
+# infinities and NaN; and chains whose steps sit just under, at and just
+# over eps, so a later score beats an earlier one by a hair or not at all.
+_EPS = st.sampled_from([1e-15, 1e-12])
+_TIED = st.lists(st.sampled_from([0.0, 0.5, 0.5 + 1e-15, 1.0, 2.0, math.inf, -math.inf,
+                                  math.nan]), min_size=1, max_size=30)
+
+
+@st.composite
+def _eps_chains(draw):
+    eps = draw(_EPS)
+    steps = [eps, np.nextafter(eps, 0.0), np.nextafter(eps, 1.0), 2 * eps, eps / 2, 0.0,
+             -eps]
+    score = draw(st.sampled_from([0.0, 1e-3, 0.3, 0.69, 1.0, 1e3]))
+    scores = [score]
+    for step in draw(st.lists(st.sampled_from(steps), max_size=30)):
+        score += step
+        scores.append(score)
+    for at in draw(st.sets(st.integers(0, len(scores) - 1), max_size=3)):
+        scores[at] = math.nan
+    return eps, scores
+
+
+class TestFirstMax:
+    """`first_max` against the plain loop both samplers used to run."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_TIED, _EPS)
+    def test_exact_ties_infinities_and_nan(self, scores, eps):
+        assert first_max(np.array(scores), eps) == pick_loop(scores, eps)
+
+    @settings(max_examples=500, deadline=None)
+    @given(_eps_chains())
+    def test_steps_just_under_and_over_eps(self, case):
+        eps, scores = case
+        assert first_max(np.array(scores), eps) == pick_loop(scores, eps)
+
+    @pytest.mark.parametrize("eps", [1e-15, 1e-12])
+    def test_hand_picked(self, eps):
+        assert first_max(np.array([0.7]), eps) == 0
+        assert first_max(np.array([math.nan, 1.0, 2.0]), eps) == 0
+        assert first_max(np.array([1.0, math.nan, 2.0]), eps) == 2
+        assert first_max(np.array([0.0, eps / 2, eps]), eps) == 0
+        # steps under eps: the pick moves to the first score more than eps above it
+        assert first_max(np.array([0.0, 0.6 * eps, 1.2 * eps, 1.8 * eps]), eps) == 2
+
+
 def _scan_pick(pool, model, features):
     """The reference pick: one predict_proba and entropy call per pool row,
-    in pool order, keeping the first of scores within 1e-15 of each other."""
-    best_row, best_score = None, -1.0
-    for row in pool:
-        score = entropy(predict_proba(model, features[row])[0])
-        if score > best_score + 1e-15:
-            best_row, best_score = row, score
-    return best_row
+    in pool order, then the plain pick loop within 1e-15."""
+    return pool[pick_loop([entropy(predict_proba(model, features[row])[0]) for row in pool],
+                          1e-15)]
 
 
 class TestUncertaintySampler:
@@ -154,6 +198,65 @@ class TestUncertaintySampler:
         with pytest.raises(PoolExhausted):
             uncertainty_sampler(SelectionState(pool=[]), self._model(), np.zeros((0, 1)),
                                 random.Random(0))
+
+
+def _fresh_uncertainty_pick(pool, model, features):
+    """The pick scored afresh: one predict_proba over the full matrix, then
+    the plain loop over the pool's entropies."""
+    scores = entropy_rows(predict_proba(model, features))[pool].tolist()
+    return pool[pick_loop(scores, 1e-15)]
+
+
+class TestUncertaintyScoreReuse:
+    """Picks on one `SelectionState`, whose kept entropies are reused while
+    the model and features hold, against scoring afresh on every call."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("change", [None, "new model", "weights in place",
+                                        "bias in place", "features"])
+    def test_picks_equal_scoring_afresh(self, seed, change):
+        # small integer features, so rows repeat and entropies tie exactly
+        rng = np.random.default_rng(seed)
+        n, dim = 60, 4
+        features = rng.integers(-2, 3, size=(n, dim)).astype(float)
+        model = LinearModel(weights=rng.normal(size=(3, dim)), bias=rng.normal(size=3), l2=0.0)
+        state = SelectionState(pool=rng.permutation(n).tolist())
+        for step in range(40):
+            if step in (10, 25):
+                if change == "new model":
+                    model = LinearModel(weights=rng.normal(size=(3, dim)),
+                                        bias=rng.normal(size=3), l2=0.0)
+                elif change == "weights in place":
+                    model.weights[step % 3] += rng.normal(size=dim)
+                elif change == "bias in place":
+                    model.bias[step % 3] -= 1.5
+                elif change == "features":
+                    features = rng.integers(-2, 3, size=(n, dim)).astype(float)
+            want = _fresh_uncertainty_pick(list(state.pool), model, features)
+            assert uncertainty_sampler(state, model, features, random.Random(0)) == want
+        assert state.entropy is not None
+
+    def test_scores_are_reused_while_the_model_and_features_hold(self):
+        rng = np.random.default_rng(0)
+        features = rng.normal(size=(20, 3))
+        model = LinearModel(weights=rng.normal(size=(2, 3)), bias=np.zeros(2), l2=0.0)
+        state = SelectionState(pool=list(range(20)))
+        uncertainty_sampler(state, model, features, random.Random(0))
+        kept = state.entropy
+        equal = LinearModel(weights=model.weights.copy(), bias=model.bias.copy(), l2=1.0)
+        uncertainty_sampler(state, equal, features, random.Random(0))
+        assert state.entropy is kept
+        uncertainty_sampler(state, model, features.copy(), random.Random(0))
+        assert state.entropy is not kept
+
+    def test_an_in_place_bias_change_moves_the_pick(self):
+        # P(class 1 | x) = sigmoid(x + b): the pick is the row whose x is nearest -b
+        model = LinearModel(weights=np.array([[0.0], [1.0]]), bias=np.zeros(2), l2=0.0)
+        features = np.array([[5.0], [0.0], [-3.0], [2.0]])
+        state = SelectionState(pool=[0, 1, 2, 3])
+        assert uncertainty_sampler(state, model, features, random.Random(0)) == 1
+        model.bias[1] = -5.0  # kept entropies would pick row 3
+        assert uncertainty_sampler(state, model, features, random.Random(0)) == 0
 
 
 class TestExpectedUtility:
@@ -250,17 +353,13 @@ def _reference_scores(train, labels, uncovered, accuracy, rows):
 
 def _reference_seu_pick(state, train, labels, uncovered, accuracy, pool_cap, rng):
     """The per-row SEU scan: score each pool row with `_reference_scores` in
-    pool order, and keep the first of scores within 1e-12 of each other. A
-    capped pool is an `rng.sample` of the pool, put back in pool order."""
+    pool order, then the plain pick loop within 1e-12. A capped pool is an
+    `rng.sample` of the pool, put back in pool order."""
     pool = state.pool
     if pool_cap is not None and len(pool) > pool_cap:
         pool = sorted(rng.sample(pool, pool_cap), key=pool.index)
     scores = _reference_scores(train, labels, uncovered, accuracy, pool)
-    best_row, best_score = None, -math.inf
-    for row, score in zip(pool, scores):
-        if score > best_score + 1e-12:
-            best_row, best_score = row, score
-    return state.take(best_row)
+    return state.take(pool[pick_loop(scores, 1e-12)])
 
 
 # Few tokens and separators, so texts repeat, grams repeat within a row and
@@ -309,7 +408,7 @@ def test_scores_equal_expected_utility_bit_for_bit(case):
     train, labels, uncovered, accuracy, _, _, pool = case
     want = _reference_scores(train, labels, uncovered, accuracy, pool)
     scores = SeuScores(KeywordIndex(train), labels, uncovered, accuracy)
-    assert scores.of(np.array(pool, dtype=np.int64)) == want
+    assert scores.of(np.array(pool, dtype=np.int64)).tolist() == want
 
 
 def test_one_long_row_does_not_inflate_a_pick():
