@@ -52,6 +52,8 @@ class LabelModelKind:
             raise ValueError("em_tol must be positive")
         if self.smoothing < 0:
             raise ValueError("smoothing must be >= 0")
+        if self.em_restarts < 0:
+            raise ValueError("em_restarts must be >= 0")
 
 
 def _check_votes(entries: np.ndarray, n_classes: int):

@@ -54,10 +54,11 @@ def cmd_eval_lfs(args):
     through a run's setup, an admission gate with only the validity stage on,
     and the tail of a run (`refit`, then the metric suite)."""
     config = pipeline.RunConfig.from_file(args.config)
-    dataset, positive, space, X_train = pipeline._prepare(config)
+    dataset, positive, tokens, space, X_train = pipeline._prepare(config)
     lfs = labelfns.load_lfs(args.lfs, dataset.classes, dataset.task_kind)
     gate = lfgate.AdmissionGate(dataset, lfgate.FilterConfig(enable_accuracy=False,
-                                                             enable_redundancy=False))
+                                                             enable_redundancy=False),
+                                train_tokens=tokens)
     gate.admit([lfgate.CandidateSpec(lf.kind, lf.payload, lf.target_class, lf.provenance)
                 for lf in lfs])
     problabels, model = pipeline.refit(config, dataset, gate, X_train)

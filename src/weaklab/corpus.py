@@ -59,6 +59,45 @@ def tokenize(text: str):
     return _TOKEN_RE.findall(text.lower())
 
 
+class _Vocabulary(dict):
+    """token -> id, giving an unseen token the next id on lookup."""
+
+    def __missing__(self, token):
+        self[token] = len(self)
+        return len(self) - 1
+
+
+@dataclass(frozen=True)
+class Tokens:
+    """Each text's `tokenize` output as int32 token ids in CSR form: text i
+    holds `ids[indptr[i]:indptr[i + 1]]`, in token order, and `token_ids`
+    maps each token to its id, numbered in first-seen order. Every id names
+    a token some text holds."""
+
+    token_ids: dict
+    ids: np.ndarray  # int32
+    indptr: np.ndarray  # int64, one more than the texts
+
+    @property
+    def n_texts(self) -> int:
+        return len(self.indptr) - 1
+
+    def rows(self) -> np.ndarray:
+        """The text each entry of `ids` belongs to."""
+        return np.repeat(np.arange(self.n_texts, dtype=np.int64), np.diff(self.indptr))
+
+
+def tokenize_all(texts) -> Tokens:
+    """`tokenize` each text once, into one `Tokens`."""
+    vocabulary = _Vocabulary()
+    ids, indptr = [], [0]
+    for text in texts:
+        ids.extend(map(vocabulary.__getitem__, tokenize(text)))
+        indptr.append(len(ids))
+    return Tokens(token_ids=dict(vocabulary), ids=np.array(ids, dtype=np.int32),
+                  indptr=np.array(indptr, dtype=np.int64))
+
+
 def extract_ngrams(tokens, n_min: int = 1, n_max: int = 3):
     """All contiguous n-grams with n in [n_min, n_max], deduplicated,
     in first-occurrence order. N-grams are space-joined strings."""

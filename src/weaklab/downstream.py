@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .corpus import tokenize
+from .corpus import Tokens, tokenize_all
 
 
 @dataclass
@@ -25,42 +25,58 @@ class FeatureSpace:
     dim: int
 
 
-def fit_tfidf(train_texts, min_df: int = 1, max_features: int = 50000) -> FeatureSpace:
-    """Build the vocabulary and idf table from the training corpus.
+def fit_tfidf(train, min_df: int = 1, max_features: int = 50000) -> FeatureSpace:
+    """Build the vocabulary and idf table from the training corpus: its
+    texts, or their `Tokens`.
 
     Tokens need document frequency >= min_df; the vocabulary is capped at
     max_features by descending document frequency with lexicographic
-    tie-break. idf(t) = ln((1 + N) / (1 + df(t))) + 1.
+    tie-break, and its columns are in lexicographic order.
+    idf(t) = ln((1 + N) / (1 + df(t))) + 1.
     """
-    texts = list(train_texts)
-    if not texts:
+    if min_df < 1:
+        raise ValueError("min_df must be at least 1, not %r" % (min_df,))
+    if max_features < 1:
+        raise ValueError("max_features must be at least 1, not %r" % (max_features,))
+    tokens = train if isinstance(train, Tokens) else tokenize_all(train)
+    n = tokens.n_texts
+    if not n:
         raise ValueError("empty corpus")
-    df: dict = {}
-    for text in texts:
-        for token in set(tokenize(text)):
-            df[token] = df.get(token, 0) + 1
-    eligible = [t for t, d in df.items() if d >= min_df]
-    eligible.sort(key=lambda t: (-df[t], t))
-    eligible = eligible[:max_features]
-    eligible.sort()
-    vocabulary = {t: i for i, t in enumerate(eligible)}
-    n = len(texts)
-    idf = np.array([math.log((1 + n) / (1 + df[t])) + 1.0 for t in eligible])
-    return FeatureSpace(vocabulary=vocabulary, idf=idf, dim=len(eligible))
+    # (token, text) pairs as token x texts + text, sorted, so repeats are neighbours
+    pairs = np.sort(tokens.ids.astype(np.int64) * n + tokens.rows())
+    distinct = np.ones(len(pairs), dtype=bool)
+    distinct[1:] = pairs[1:] != pairs[:-1]
+    df = np.bincount(pairs[distinct] // n, minlength=len(tokens.token_ids))
+    words = list(tokens.token_ids)
+    rank = np.empty(len(words), dtype=np.int64)  # each token's place in lexicographic order
+    rank[sorted(range(len(words)), key=words.__getitem__)] = np.arange(len(words))
+    eligible = np.flatnonzero(df >= min_df)
+    kept = eligible[np.lexsort((rank[eligible], -df[eligible]))][:max_features]
+    kept = kept[np.argsort(rank[kept])]
+    vocabulary = {words[t]: col for col, t in enumerate(kept.tolist())}
+    idf = np.array([math.log((1 + n) / (1 + d)) + 1.0 for d in df[kept].tolist()])
+    return FeatureSpace(vocabulary=vocabulary, idf=idf, dim=len(kept))
 
 
 def featurize_all(space: FeatureSpace, texts) -> np.ndarray:
-    """One L2-normalized tf-idf row per text, filled into a single
-    preallocated matrix; out-of-vocabulary tokens are ignored."""
-    out = np.zeros((len(texts), space.dim))
-    for vec, text in zip(out, texts):
-        for token in tokenize(text):
-            idx = space.vocabulary.get(token)
-            if idx is not None:
-                vec[idx] += space.idf[idx]
-        norm = np.linalg.norm(vec)
-        if norm > 0:
-            vec /= norm
+    """One L2-normalized tf-idf row per text (or per text of a `Tokens`),
+    filled into a single preallocated matrix; out-of-vocabulary tokens are
+    ignored.
+
+    Each token adds its idf to its column in token order (`np.add.at`
+    applies repeated indices one after another), so a cell is the bits of
+    adding its tokens one by one. Each row's norm is `np.linalg.norm` of
+    the dense row: a sum over its non-zeros alone could round differently.
+    """
+    tokens = texts if isinstance(texts, Tokens) else tokenize_all(texts)
+    column = np.array([space.vocabulary.get(t, -1) for t in tokens.token_ids],
+                      dtype=np.int64)[tokens.ids]
+    known = np.flatnonzero(column >= 0)
+    column = column[known]
+    out = np.zeros((tokens.n_texts, space.dim))
+    np.add.at(out.reshape(-1), tokens.rows()[known] * space.dim + column, space.idf[column])
+    norms = np.array([np.linalg.norm(vec) for vec in out])
+    out /= np.where(norms > 0, norms, 1.0)[:, None]
     return out
 
 

@@ -18,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .corpus import (RELATION_TASK, TEXT_TASK, Instance, _is_int, extract_ngrams, read_jsonl,
-                     tokenize)
+from .corpus import (RELATION_TASK, TEXT_TASK, Instance, Tokens, _is_int, read_jsonl, tokenize,
+                     tokenize_all)
 
 try:  # the sre modules moved under re in 3.11
     from re import _constants as sre_constants
@@ -228,14 +228,99 @@ def apply_lf(lf: LabelFunction, instance: Instance) -> int:
     return ABSTAIN
 
 
+def _dense(keys: np.ndarray):
+    """Each key's rank among the distinct keys, and the distinct keys, ascending."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    rank = np.empty(len(keys), dtype=np.int64)
+    rank[order] = np.cumsum(new) - 1
+    return rank, ordered[new]
+
+
+@dataclass(frozen=True)
+class _Grams:
+    """A split's interned 1-3-grams (`_intern`)."""
+
+    token_ids: dict  # token -> token id
+    ids: np.ndarray  # int32 gram ids, CSR
+    indptr: np.ndarray  # int64
+    keys: tuple  # per length 2 and 3: the sorted distinct keys of that length's grams
+    offsets: tuple  # per length 1 to 3: the first class of that length
+    gram_of: np.ndarray  # gram class -> gram id
+
+
+def _intern(tokens: Tokens) -> _Grams:
+    """Number the 1-3-grams of each row of `tokens` as `extract_ngrams`
+    lists them, and every distinct gram of the split in first-seen order,
+    from integer keys alone.
+
+    A gram's class is its token id for one token. A longer gram's key is
+    its prefix's dense id at the shorter length times the number of tokens,
+    plus its last token; the key's rank among that length's distinct keys
+    is the gram's dense id, and its class is that id past the classes of
+    the shorter lengths. A key is below (grams of the shorter length) x
+    (tokens), so it cannot overflow at any vocabulary size.
+
+    The occurrence of length n at position p has slot 3p + n - 1, which
+    orders occurrences as `extract_ngrams` lists them. One sort of
+    class x slots + slot groups the occurrences by class, each class's
+    slots (so its rows) ascending: a gram a row repeats sits next to its
+    first occurrence there, and the first of each class is its first
+    occurrence in the split. Classes and slots are both below 3 x tokens,
+    so the product stays within int64 while gram ids fit in int32.
+    """
+    tok = tokens.ids.astype(np.int64)
+    n_tokens, n_slots = len(tokens.token_ids), 3 * len(tok)
+    row = tokens.rows()
+    left = tokens.indptr[1:][row] - np.arange(len(tok))  # tokens from each position on in its row
+    classes, slots = [tok], [np.arange(0, n_slots, 3)]
+    prefix, offsets, keys = tok, [0, n_tokens], []
+    for n in (2, 3):
+        at = np.flatnonzero(left >= n)
+        dense, distinct = _dense(prefix[at] * n_tokens + tok[at + n - 1])
+        classes.append(offsets[-1] + dense)
+        slots.append(3 * at + n - 1)
+        prefix = np.empty(len(tok), dtype=np.int64)
+        prefix[at] = dense  # a longer gram's positions are among these
+        offsets.append(offsets[-1] + len(distinct))
+        keys.append(distinct)
+    packed = np.concatenate(classes)
+    packed *= n_slots
+    packed += np.concatenate(slots)
+    del classes, slots, prefix, left
+    packed.sort()
+    cls = packed // n_slots
+    slot = packed - cls * n_slots
+    del packed
+    owner = row[slot // 3]
+    new = np.ones(len(cls), dtype=bool)
+    new[1:] = cls[1:] != cls[:-1]
+    kept = np.ones(len(cls), dtype=bool)
+    kept[1:] = new[1:] | (owner[1:] != owner[:-1])
+    # every class occurs, each having come from a row: its id is the rank of its first slot
+    first = np.zeros(n_slots, dtype=bool)
+    first[slot[new]] = True
+    gram_of = (np.cumsum(first, dtype=np.int32) - 1)[slot[new]]
+    by_slot = np.full(n_slots, -1, dtype=np.int32)
+    by_slot[slot[kept]] = gram_of[cls[kept]]
+    indptr = np.zeros(tokens.n_texts + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner[kept], minlength=tokens.n_texts), out=indptr[1:])
+    return _Grams(token_ids=tokens.token_ids, ids=by_slot[by_slot >= 0], indptr=indptr,
+                  keys=tuple(keys), offsets=tuple(offsets[:3]), gram_of=gram_of)
+
+
 class KeywordIndex:
     """One split's interned n-grams, their postings and a memo of LF matches.
 
     Each instance's 1-3-grams (`extract_ngrams` order, so first occurrence
     first and no repeats) are stored as integer ids in CSR form: row i holds
-    `ids[indptr[i]:indptr[i + 1]]`, and `gram_ids` maps a gram to its id.
-    The postings list is the CSR transpose, built on the first keyword
-    match: the rows that hold gram id g, ascending, are
+    `ids[indptr[i]:indptr[i + 1]]`, and the split's `n_grams` distinct grams
+    are numbered in first-seen order. They are interned from the split's
+    token ids (`_intern`), so no gram string is built; `gram_id` looks a
+    gram up by its tokens. The postings list is the CSR transpose, built on
+    the first keyword match: the rows that hold gram id g, ascending, are
     `rows[starts[g]:starts[g + 1]]`, so a keyword LF's vote column is one
     slice of it, and its arrays are the size of `ids`. A pattern LF goes
     through `apply_lf` only on instances that contain its template's
@@ -245,41 +330,62 @@ class KeywordIndex:
     each (kind, payload) is matched once per index and its vote column is
     then one `np.where`, whatever the target class.
 
-    The n-grams are interned on first use of `gram_ids`, `ids` or `indptr`,
-    so an index that only matches pattern LFs never tokenizes its split.
+    `tokens`, when given, is the split's `Tokens`, so a split tokenized
+    once per run is not tokenized again. The n-grams are interned on first
+    use of `ids`, `indptr`, `n_grams` or `gram_id`, so an index that only
+    matches pattern LFs never interns, nor tokenizes its split when not
+    given its tokens.
     """
 
-    def __init__(self, instances):
+    def __init__(self, instances, tokens: Optional[Tokens] = None):
         self.instances = list(instances)
+        if tokens is not None and tokens.n_texts != len(self.instances):
+            raise ValueError("tokens of %d texts for %d instances"
+                             % (tokens.n_texts, len(self.instances)))
+        self._tokens = tokens
         self._matches = {}  # (kind, payload) -> bool array over instances
 
     @functools.cached_property
-    def _interned(self):
-        gram_ids: dict = {}  # gram -> id, numbered in first-seen order
-        ids, indptr = [], [0]
-        for inst in self.instances:
-            ids.extend(gram_ids.setdefault(gram, len(gram_ids))
-                       for gram in extract_ngrams(tokenize(inst.text), 1, 3))
-            indptr.append(len(ids))
-        return gram_ids, np.array(ids, dtype=np.int32), np.array(indptr, dtype=np.int64)
+    def _interned(self) -> _Grams:
+        tokens = self._tokens
+        if tokens is None:
+            tokens = tokenize_all(inst.text for inst in self.instances)
+        return _intern(tokens)
 
-    gram_ids = property(lambda self: self._interned[0])
-    ids = property(lambda self: self._interned[1])
-    indptr = property(lambda self: self._interned[2])
+    ids = property(lambda self: self._interned.ids)
+    indptr = property(lambda self: self._interned.indptr)
+    n_grams = property(lambda self: len(self._interned.gram_of))
+
+    def gram_id(self, tokens) -> Optional[int]:
+        """The id of the gram made of `tokens` (one to three token strings),
+        None when no row holds it."""
+        grams = self._interned
+        if not 1 <= len(tokens) <= 3:
+            return None
+        ids = [grams.token_ids.get(token) for token in tokens]
+        if None in ids:
+            return None
+        dense = ids[0]
+        for distinct, token in zip(grams.keys, ids[1:]):
+            key = dense * len(grams.token_ids) + token
+            dense = int(np.searchsorted(distinct, key))
+            if dense == len(distinct) or distinct[dense] != key:
+                return None
+        return int(grams.gram_of[grams.offsets[len(ids) - 1] + dense])
 
     @functools.cached_property
     def _postings(self):
         """(rows, starts): the rows of each gram id, grouped by id with a
         stable sort of `ids`, so each group lists its rows in order."""
         owner = np.repeat(np.arange(len(self.instances), dtype=np.int32), np.diff(self.indptr))
-        starts = np.zeros(len(self.gram_ids) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.ids, minlength=len(self.gram_ids)), out=starts[1:])
+        starts = np.zeros(self.n_grams + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.ids, minlength=self.n_grams), out=starts[1:])
         return owner[np.argsort(self.ids, kind="stable")], starts
 
     def _match(self, lf: LabelFunction) -> np.ndarray:
         hits = np.zeros(len(self.instances), dtype=bool)
         if lf.kind == KEYWORD:
-            gram = self.gram_ids.get(" ".join(lf.tokens))
+            gram = self.gram_id(lf.tokens)
             if gram is not None:
                 rows, starts = self._postings
                 hits[rows[starts[gram]:starts[gram + 1]]] = True

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .corpus import Dataset
+from .corpus import Dataset, Tokens
 from .labelfns import (
     ABSTAIN,
     KeywordIndex,
@@ -115,7 +115,8 @@ class AdmissionGate:
     batch.
     """
 
-    def __init__(self, dataset: Dataset, config: Optional[FilterConfig] = None):
+    def __init__(self, dataset: Dataset, config: Optional[FilterConfig] = None,
+                 train_tokens: Optional[Tokens] = None):
         self.dataset = dataset
         self.config = config or FilterConfig()
         self.admitted: list = []
@@ -123,7 +124,9 @@ class AdmissionGate:
         # there; measured even when the accuracy stage is disabled
         self.valid_accuracies: list = []
         self.train_votes: list = []  # one np.ndarray per admitted LF
-        self.train_index = KeywordIndex(dataset.train)  # the samplers read it too
+        # the samplers read it too; `train_tokens` are the train split's, when
+        # the caller has tokenized it already
+        self.train_index = KeywordIndex(dataset.train, train_tokens)
         self._valid_index = KeywordIndex(dataset.valid)
         self._valid_gold = np.array([inst.gold_label for inst in dataset.valid], dtype=np.int64)
 

@@ -355,9 +355,11 @@ def refit(config: RunConfig, dataset: Dataset, gate: lfgate.AdmissionGate, X_tra
 def _prepare(config: RunConfig, dataset: Optional[Dataset] = None):
     """The setup a run and `eval-lfs` share: the dataset (loaded from the
     config's paths unless given) with a train split that is not empty, the
-    index of `positive_class` (None when unset), and the TF-IDF space fit on
-    the train split with the train features. Returns (dataset,
-    positive_class, space, X_train)."""
+    index of `positive_class` (None when unset), the train split's tokens,
+    and the TF-IDF space fit on the train split with the train features.
+    Each train row is tokenized once: the same `Tokens` feed the TF-IDF fit,
+    the train features and the admission gate's train index. Returns
+    (dataset, positive_class, tokens, space, X_train)."""
     if dataset is None:
         dataset = corpus.load_dataset(config.train_path, config.valid_path,
                                       config.test_path, config.schema_path)
@@ -366,9 +368,9 @@ def _prepare(config: RunConfig, dataset: Optional[Dataset] = None):
                          "and no row to train on")
     positive_class = (class_index(dataset, "positive_class", config.positive_class)
                       if config.positive_class is not None else None)
-    texts = [inst.text for inst in dataset.train]
-    space = downstream.fit_tfidf(texts, min_df=config.min_df, max_features=config.max_features)
-    return dataset, positive_class, space, downstream.featurize_all(space, texts)
+    tokens = corpus.tokenize_all(inst.text for inst in dataset.train)
+    space = downstream.fit_tfidf(tokens, min_df=config.min_df, max_features=config.max_features)
+    return dataset, positive_class, tokens, space, downstream.featurize_all(space, tokens)
 
 
 def run(config: RunConfig, backend=None, dataset: Optional[Dataset] = None) -> RunReport:
@@ -384,7 +386,7 @@ def run(config: RunConfig, backend=None, dataset: Optional[Dataset] = None) -> R
                                 ic_mode=config.ic_mode, k_per_class=config.k_per_class,
                                 k_total=config.k_total, temperature=config.temperature)
     label_model_kind(config)  # a bad label model fails here, not at its first fit
-    dataset, positive_class, space, X_train = _prepare(config, dataset)
+    dataset, positive_class, tokens, space, X_train = _prepare(config, dataset)
     if backend is None:
         backend = build_backend(config, dataset)
     transcript = None
@@ -429,7 +431,7 @@ def run(config: RunConfig, backend=None, dataset: Optional[Dataset] = None) -> R
         accuracy_threshold=config.accuracy_threshold,
         redundancy_threshold=config.redundancy_threshold,
         enable_accuracy=config.enable_accuracy,
-        enable_redundancy=config.enable_redundancy))
+        enable_redundancy=config.enable_redundancy), train_tokens=tokens)
     problabels = model = None
     # train rows in instance-id order, so ties and random draws resolve by id
     selection = select.SelectionState(

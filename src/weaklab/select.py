@@ -121,13 +121,13 @@ class SeuScores:
     def __init__(self, index: KeywordIndex, labels, uncovered, accuracy):
         self.index, self.accuracy = index, dict(accuracy)
         self.labels, self.uncovered = np.array(labels), np.array(uncovered)
-        n_grams = len(index.gram_ids)
+        n_grams = index.n_grams
         self.cover = np.bincount(index.ids[np.repeat(self.uncovered, np.diff(index.indptr))],
                                  minlength=n_grams)
         n_labels = int(self.labels.max()) + 1
         self.table = np.full((n_labels, n_grams), PRIOR_ACCURACY)
         for (gram, label), acc in self.accuracy.items():
-            gram_id = index.gram_ids.get(gram)
+            gram_id = index.gram_id(gram.split(" "))
             if gram_id is not None and 0 <= label < n_labels:
                 self.table[label, gram_id] = acc
         self.scores = np.zeros(len(self.labels))

@@ -4,12 +4,17 @@ Each is the plain, one-case-at-a-time form of something the program works
 out in bulk: the Dawid-Skene objective at given parameters, the entropy of
 one probability vector, the expected utility of one row's candidate LFs,
 the samplers' pick loop over a pool's scores, the rows of a keyword index
-that hold one gram, and one mock-oracle response.
+that hold one gram, a split's interned n-grams, the TF-IDF fit and
+featurization, and one mock-oracle response.
 """
+
+import math
 
 import numpy as np
 
 from weaklab.aggregate import _penalized_log_likelihood, _vote_design
+from weaklab.corpus import extract_ngrams, tokenize
+from weaklab.downstream import FeatureSpace
 from weaklab.plmclient import MockOracleConfig, _analyse_passage, _draw_response
 from weaklab.select import entropy_rows
 
@@ -65,6 +70,51 @@ def keyword_rows(index, gram) -> np.ndarray:
     """The rows of a `KeywordIndex` that hold gram id `gram`, ascending, from
     comparing every gram id of the split with it."""
     return np.searchsorted(index.indptr, np.flatnonzero(index.ids == gram), side="right") - 1
+
+
+def interned(texts):
+    """(gram_ids, ids, indptr) of the texts' 1-3-grams, from the per-row
+    loop: each text's `extract_ngrams` grams, numbered in first-seen order
+    through one gram -> id dict, with each text's ids in CSR form."""
+    gram_ids: dict = {}
+    ids, indptr = [], [0]
+    for text in texts:
+        ids.extend(gram_ids.setdefault(gram, len(gram_ids))
+                   for gram in extract_ngrams(tokenize(text), 1, 3))
+        indptr.append(len(ids))
+    return gram_ids, np.array(ids, dtype=np.int32), np.array(indptr, dtype=np.int64)
+
+
+def fit_tfidf(texts, min_df=1, max_features=50000) -> FeatureSpace:
+    """The TF-IDF fit from a token -> document frequency dict, counted text
+    by text over each text's distinct tokens."""
+    df: dict = {}
+    for text in texts:
+        for token in set(tokenize(text)):
+            df[token] = df.get(token, 0) + 1
+    eligible = [t for t, d in df.items() if d >= min_df]
+    eligible.sort(key=lambda t: (-df[t], t))
+    eligible = eligible[:max_features]
+    eligible.sort()
+    n = len(texts)
+    idf = np.array([math.log((1 + n) / (1 + df[t])) + 1.0 for t in eligible])
+    return FeatureSpace(vocabulary={t: i for i, t in enumerate(eligible)}, idf=idf,
+                        dim=len(eligible))
+
+
+def featurize_all(space, texts) -> np.ndarray:
+    """The per-text TF-IDF loop: each row starts at zero, gains its token's
+    idf once per occurrence, in token order, and is divided by its L2 norm."""
+    out = np.zeros((len(texts), space.dim))
+    for vec, text in zip(out, texts):
+        for token in tokenize(text):
+            idx = space.vocabulary.get(token)
+            if idx is not None:
+                vec[idx] += space.idf[idx]
+        norm = np.linalg.norm(vec)
+        if norm > 0:
+            vec /= norm
+    return out
 
 
 def mock_oracle_respond(config: MockOracleConfig, instance, task_kind: str, cot: bool,

@@ -339,6 +339,10 @@ def test_label_model_kind_validation():
         LabelModelKind(em_tol=0.0)
     with pytest.raises(ValueError):
         LabelModelKind(smoothing=-1.0)
+    # a negative count once ran no cold fit at all and failed unpacking None
+    with pytest.raises(ValueError, match="em_restarts"):
+        LabelModelKind(em_restarts=-1)
+    assert LabelModelKind(em_restarts=0).em_restarts == 0
 
 
 @pytest.mark.parametrize("fit", [

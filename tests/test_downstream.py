@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from weaklab import downstream
-from weaklab.corpus import Instance, tokenize
+from weaklab.corpus import Instance, tokenize_all
 from weaklab.downstream import (
     EVAL_BLOCK,
     LinearModel,
@@ -19,6 +20,17 @@ from weaklab.downstream import (
     train_logreg,
 )
 from weaklab.downstream import fit_tfidf as _fit
+
+
+# Texts with empty and punctuation-only rows, one-token rows, a token
+# repeated four or more times, and "İ", whose lowercase ("i" and a combining
+# dot) is longer than it; idf values differ, so added idfs round.
+_TEXTS = st.one_of(
+    st.sampled_from(["", "!!", "...  ,", "a", "İ", "q q q q q", "b a b a b a b a"]),
+    st.builds(lambda tokens, sep: sep.join(tokens),
+              st.lists(st.sampled_from(["a", "b", "c", "ab", "İ", "i", "x9", "A", "zz"]),
+                       max_size=14),
+              st.sampled_from([" ", ", ", "-", "!  "])))
 
 
 class TestTfidf:
@@ -70,23 +82,39 @@ class TestTfidf:
         texts = [" ".join(rng.choice(vocab, size=int(rng.integers(0, 25)))) for _ in range(60)]
         space = fit_tfidf(texts[:30], min_df=2)
         got = featurize_all(space, texts)
+        assert got.tobytes() == reference.featurize_all(space, texts).tobytes()
         for row, text in zip(got, texts):
-            assert row.tolist() == _featurize_reference(space, text).tolist()
             assert featurize_all(space, [text])[0].tolist() == row.tolist()
 
+    @pytest.mark.parametrize("field, kwargs", [("min_df", dict(min_df=0)),
+                                               ("min_df", dict(min_df=-2)),
+                                               ("max_features", dict(max_features=0)),
+                                               ("max_features", dict(max_features=-1))])
+    def test_bad_settings_rejected(self, field, kwargs):
+        # max_features=-1 once dropped the least frequent token, and 0 left
+        # the classifier no feature
+        with pytest.raises(ValueError, match=field):
+            fit_tfidf(["a b c", "a b", "a"], **kwargs)
 
-def _featurize_reference(space, text):
-    """The per-text TF-IDF loop: one zero vector, idf added per token, then
-    divided by its L2 norm."""
-    vec = np.zeros(space.dim)
-    for token in tokenize(text):
-        idx = space.vocabulary.get(token)
-        if idx is not None:
-            vec[idx] += space.idf[idx]
-    norm = np.linalg.norm(vec)
-    if norm > 0:
-        vec /= norm
-    return vec
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_TEXTS, min_size=1, max_size=12), st.lists(_TEXTS, max_size=6),
+           st.integers(1, 3), st.integers(1, 12))
+    def test_fit_and_features_equal_the_dict_loops(self, train, test, min_df, max_features):
+        # one tokenization feeds the fit and the train features, as in a run;
+        # test blocks hold tokens the train split lacks
+        want = reference.fit_tfidf(train, min_df=min_df, max_features=max_features)
+        tokens = tokenize_all(train)
+        space = fit_tfidf(tokens, min_df=min_df, max_features=max_features)
+        assert space.vocabulary == want.vocabulary and space.dim == want.dim
+        assert space.idf.dtype == want.idf.dtype and space.idf.tobytes() == want.idf.tobytes()
+        assert fit_tfidf(train, min_df=min_df, max_features=max_features).vocabulary == \
+            want.vocabulary
+        got = featurize_all(space, tokens)
+        assert got.shape == (len(train), want.dim)
+        assert got.tobytes() == reference.featurize_all(want, train).tobytes()
+        assert featurize_all(space, test).tobytes() == \
+            reference.featurize_all(want, test).tobytes()
+
 
 
 def numeric_grad(weights, bias, features, soft, l2, eps=1e-6):

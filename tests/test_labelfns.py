@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from reference import keyword_rows
+from reference import interned, keyword_rows
 from weaklab import labelfns
 from weaklab.corpus import (
     Dataset,
@@ -12,6 +12,7 @@ from weaklab.corpus import (
     TEXT_TASK,
     extract_ngrams,
     tokenize,
+    tokenize_all,
 )
 from weaklab.labelfns import (
     ABSTAIN,
@@ -225,6 +226,15 @@ INDEX_MIDDLES = ["song", "ſong", "SONG", "kind song", "Kind  ſONG", "kind, s
 # phrase or a row, an empty row, and phrases no row holds.
 KEYWORD_ROWS = ["free stuff for free people", "Free, stuff!", "stuff-for free", "",
                 "free free free", "people for free stuff now", "FREE", "free stuff free stuff"]
+# Rows for the interning property: empty and punctuation-only rows,
+# one-token rows, a token repeated four or more times, grams repeated
+# within and across rows, and "İ", whose lowercase ("i" and a combining
+# dot) is longer than it.
+INTERN_TEXTS = st.one_of(
+    st.sampled_from(["", "!!", ".. ,", "q", "İ", "q q q q q", "a b a b a b a", "İi"]),
+    st.builds(lambda tokens, sep: sep.join(tokens),
+              st.lists(st.sampled_from(["a", "b", "i", "İ", "q", "A"]), max_size=12),
+              st.sampled_from([" ", ", ", "-"])))
 KEYWORD_PHRASES = ["free", "free stuff", "stuff for free", "free free", "free free free",
                    "Free, STUFF", "for", "absent", "free absent", "stuff free stuff", "now!"]
 
@@ -277,21 +287,51 @@ class TestKeywordIndex:
         # phrase with "d" or an unseen order is missing from the split
         rows = [Instance(id=i, text=" ".join(tokens)) for i, tokens in enumerate(rows)]
         index = KeywordIndex(rows)
-        grams = list(index.gram_ids) + [" ".join(phrase) for phrase in phrases]
+        gram_ids = interned([row.text for row in rows])[0]
+        grams = list(gram_ids) + [" ".join(phrase) for phrase in phrases]
         for gram in grams:
-            gram_id = index.gram_ids.get(gram, len(index.gram_ids))
+            gram_id = gram_ids.get(gram, len(gram_ids))
             hits = np.flatnonzero(index.votes(kw(gram)) != ABSTAIN)
             assert hits.tolist() == keyword_rows(index, gram_id).tolist()
 
     def test_rows_hold_their_grams_in_first_occurrence_order(self):
         rows = [Instance(id=i, text=text) for i, text in enumerate(KEYWORD_ROWS)]
         index = KeywordIndex(rows)
-        assert list(index.gram_ids.values()) == list(range(len(index.gram_ids)))
-        grams = list(index.gram_ids)
+        gram_ids = interned(KEYWORD_ROWS)[0]  # numbered in first-seen order
+        assert index.n_grams == len(gram_ids)
+        grams = list(gram_ids)
         for i, row in enumerate(rows):
             want = extract_ngrams(tokenize(row.text), 1, 3)
             ids = index.ids[index.indptr[i]:index.indptr[i + 1]]
             assert [grams[k] for k in ids] == want
+        assert [index.gram_id(gram.split(" ")) for gram in grams] == list(range(len(grams)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(INTERN_TEXTS, max_size=10),
+           st.lists(st.lists(st.sampled_from(["a", "b", "i", "q", "zz"]), min_size=1,
+                             max_size=4), max_size=4),
+           st.booleans())
+    @example(["", "!!", "q", "q q q q q", "a b a b a b", "İ"], [["zz"], ["zz", "a"]], True)
+    def test_interning_equals_the_per_row_loop(self, texts, phrases, given_tokens):
+        # ids, indptr and every gram's lookup equal the loop's; a phrase of
+        # tokens the split lacks, or of four tokens, is no gram
+        rows = [Instance(id=i, text=text) for i, text in enumerate(texts)]
+        index = KeywordIndex(rows, tokenize_all(texts) if given_tokens else None)
+        gram_ids, ids, indptr = interned(texts)
+        assert index.ids.dtype == ids.dtype and index.ids.tolist() == ids.tolist()
+        assert index.indptr.dtype == indptr.dtype and index.indptr.tolist() == indptr.tolist()
+        assert index.n_grams == len(gram_ids)
+        for gram, gram_id in gram_ids.items():
+            assert index.gram_id(gram.split(" ")) == gram_id
+        for phrase in phrases:
+            assert index.gram_id(phrase) == gram_ids.get(" ".join(phrase))
+            if len(phrase) <= 3:
+                lf = kw(" ".join(phrase))
+                assert index.votes(lf).tolist() == [apply_lf(lf, r) for r in rows]
+
+    def test_tokens_of_another_length_rejected(self):
+        with pytest.raises(ValueError, match="tokens of 2 texts for 1 instances"):
+            KeywordIndex([Instance(id=0, text="a")], tokenize_all(["a", "b"]))
 
     def test_repeated_votes_are_memoized_per_index(self, monkeypatch):
         calls = []

@@ -239,6 +239,20 @@ class TestRun:
             run(_config(corpus_paths, **overrides))
         assert requests == []
 
+    @pytest.mark.parametrize("field, overrides", [
+        ("em_restarts", dict(label_model="dawid_skene", em_restarts=-1)),
+        ("min_df", dict(min_df=0)),
+        ("max_features", dict(max_features=0)),
+    ])
+    def test_bad_setting_is_named_before_the_first_request(self, corpus_paths, monkeypatch,
+                                                          field, overrides):
+        requests = []
+        monkeypatch.setattr(plmclient, "complete",
+                            lambda backend, request: requests.append(request))
+        with pytest.raises(ValueError, match=field):
+            run(_config(corpus_paths, **overrides))
+        assert requests == []
+
     def test_pool_exhaustion_truncates_with_warning(self, corpus_paths):
         report = run(_config(corpus_paths, n_iterations=200))
         assert report.complete
@@ -344,9 +358,10 @@ class TestEmptySplits:
 
 def test_run_loads_neither_openssl_nor_numpy_random(tmp_path):
     """A mock run with a cold Dawid-Skene fit (restarts drawn) and the
-    uncertainty sampler never imports hashlib's OpenSSL module or
-    numpy.random. The test suite itself imports numpy.random, so the run is
-    made in a fresh interpreter."""
+    uncertainty sampler never imports hashlib's OpenSSL module, numpy.random
+    or numpy.ma (which `np.unique` imports, for about 1.5 MB). The test
+    suite itself imports numpy.random, so the run is made in a fresh
+    interpreter."""
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(pipeline.__file__)))
     script = textwrap.dedent("""
         import sys
@@ -363,7 +378,7 @@ def test_run_loads_neither_openssl_nor_numpy_random(tmp_path):
             "em_restarts": 3, "sampler": "uncertainty"})
         report = run(config)
         assert report.metrics["lf_num"] >= 1, "no label-model fit was made"
-        print(" ".join(sorted(name for name in ("_hashlib", "numpy.random", "secrets")
+        print(" ".join(sorted(name for name in ("_hashlib", "numpy.random", "secrets", "numpy.ma")
                               if name in sys.modules)))
     """) % (package_root, str(tmp_path))
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
@@ -746,11 +761,10 @@ def _relation_config(tmp_path, dataset):
 
 def test_relation_run_never_interns_ngrams(tmp_path, monkeypatch):
     """Pattern LFs match by regex, so no KeywordIndex of a relation run
-    tokenizes its split into n-grams."""
+    interns its split's n-grams."""
     dataset = _relation_dataset()
     interned = []
-    monkeypatch.setattr(labelfns, "extract_ngrams",
-                        lambda *args: interned.append(args) or [])
+    monkeypatch.setattr(labelfns, "_intern", lambda *args: interned.append(args))
     report = run(_relation_config(tmp_path, dataset), dataset=dataset)
     assert report.complete and report.final_lfs
     assert interned == []

@@ -472,10 +472,11 @@ def _random_seu_inputs(seed, n=60, n_classes=3):
     uncovered mask and an accuracy map over grams the rows hold."""
     rng = random.Random(seed)
     words = ["w%d" % k for k in range(15)]
-    index = _index(*[" ".join(rng.choices(words, k=rng.randint(1, 8))) for _ in range(n)])
+    texts = [" ".join(rng.choices(words, k=rng.randint(1, 8))) for _ in range(n)]
+    index = _index(*texts)
     labels = np.array([rng.randrange(n_classes) for _ in range(n)], dtype=np.int64)
     uncovered = np.array([rng.random() < 0.6 for _ in range(n)])
-    grams = sorted(index.gram_ids)
+    grams = sorted({gram for text in texts for gram in extract_ngrams(tokenize(text), 1, 3)})
     accuracy = {(rng.choice(grams), rng.randrange(n_classes)): rng.choice([0.0, 0.3, 0.6, 0.9])
                 for _ in range(25)}
     return index, labels, uncovered, accuracy
