@@ -63,7 +63,7 @@ def cmd_eval_lfs(args):
                 for lf in lfs])
     problabels, model = pipeline.refit(config, dataset, gate, X_train)
     del X_train  # as in a run: the metric suite builds its own test blocks
-    metrics = pipeline.compute_metrics(dataset, gate.admitted, gate.train_votes, problabels,
+    metrics = pipeline.compute_metrics(dataset, gate.admitted, gate.train_columns(), problabels,
                                        model, space, [], positive)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:

@@ -321,14 +321,14 @@ class KeywordIndex:
     token ids (`_intern`), so no gram string is built; `gram_id` looks a
     gram up by its tokens. The postings list is the CSR transpose, built on
     the first keyword match: the rows that hold gram id g, ascending, are
-    `rows[starts[g]:starts[g + 1]]`, so a keyword LF's vote column is one
-    slice of it, and its arrays are the size of `ids`. A pattern LF goes
-    through `apply_lf` only on instances that contain its template's
+    `rows[starts[g]:starts[g + 1]]`, so the rows a keyword LF fires on
+    are one slice of it, and its arrays are the size of `ids`. A pattern LF
+    goes through `apply_lf` only on instances that contain its template's
     required literal (`_required_literal`), plus those without entities, on
     which `apply_lf` raises; every instance when the template proves no
     literal. Whether an LF fires depends on its kind and payload alone, so
-    each (kind, payload) is matched once per index and its vote column is
-    then one `np.where`, whatever the target class.
+    each (kind, payload) is matched once per index, whatever the target
+    class, and kept as the read-only array of the rows it fires on.
 
     `tokens`, when given, is the split's `Tokens`, so a split tokenized
     once per run is not tokenized again. The n-grams are interned on first
@@ -343,7 +343,7 @@ class KeywordIndex:
             raise ValueError("tokens of %d texts for %d instances"
                              % (tokens.n_texts, len(self.instances)))
         self._tokens = tokens
-        self._matches = {}  # (kind, payload) -> bool array over instances
+        self._rows = {}  # (kind, payload) -> the rows it fires on, ascending
 
     @functools.cached_property
     def _interned(self) -> _Grams:
@@ -383,25 +383,33 @@ class KeywordIndex:
         return owner[np.argsort(self.ids, kind="stable")], starts
 
     def _match(self, lf: LabelFunction) -> np.ndarray:
-        hits = np.zeros(len(self.instances), dtype=bool)
         if lf.kind == KEYWORD:
             gram = self.gram_id(lf.tokens)
-            if gram is not None:
-                rows, starts = self._postings
-                hits[rows[starts[gram]:starts[gram + 1]]] = True
-            return hits
+            if gram is None:
+                return np.zeros(0, dtype=np.intp)
+            rows, starts = self._postings
+            return rows[starts[gram]:starts[gram + 1]].astype(np.intp)
         literal = _required_literal(lf.payload)
+        hits = np.zeros(len(self.instances), dtype=bool)
         for i, inst in enumerate(self.instances):
             if (literal is None or inst.entity1 is None or inst.entity2 is None
                     or literal.search(inst.text) is not None):
                 hits[i] = apply_lf(lf, inst) != ABSTAIN
-        return hits
+        return np.flatnonzero(hits)
+
+    def rows(self, lf: LabelFunction) -> np.ndarray:
+        """The rows `lf` fires on, ascending, as a read-only integer array."""
+        key = (lf.kind, lf.payload)
+        if key not in self._rows:
+            rows = self._match(lf)
+            rows.flags.writeable = False
+            self._rows[key] = rows
+        return self._rows[key]
 
     def votes(self, lf: LabelFunction) -> np.ndarray:
-        key = (lf.kind, lf.payload)
-        if key not in self._matches:
-            self._matches[key] = self._match(lf)
-        return np.where(self._matches[key], lf.target_class, ABSTAIN)
+        votes = np.full(len(self.instances), ABSTAIN, dtype=np.int64)
+        votes[self.rows(lf)] = lf.target_class
+        return votes
 
 
 def build_matrix(lfs, instances, index: Optional[KeywordIndex] = None) -> np.ndarray:
@@ -425,7 +433,10 @@ class LFStats:
 def measure_accuracy(votes: np.ndarray, gold: np.ndarray):
     """Accuracy over active instances; None when the LF never fires."""
     active = votes != ABSTAIN
-    return float((votes[active] == gold[active]).mean()) if active.any() else None
+    correct = votes[active] == gold[active]
+    # the bits of correct.mean() (an exact count over an exact length),
+    # without np.mean's per-call cost, which the gate pays once per candidate
+    return np.count_nonzero(correct) / len(correct) if len(correct) else None
 
 
 def lf_stats(lf: LabelFunction, instances, votes: Optional[np.ndarray] = None) -> LFStats:

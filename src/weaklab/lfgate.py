@@ -8,7 +8,7 @@ passes the accuracy stage.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -53,7 +53,7 @@ class FilterVerdict:
     detail: str
 
     def to_record(self) -> dict:
-        return asdict(self)
+        return {"outcome": self.outcome, "stage": self.stage, "detail": self.detail}
 
 
 @dataclass(frozen=True)
@@ -88,16 +88,21 @@ def accuracy_filter(votes: np.ndarray, gold: np.ndarray, config: FilterConfig):
 def consensus(votes_a: np.ndarray, votes_b: np.ndarray) -> float:
     """Agreement over the union of instances where either LF is active."""
     active_a = votes_a != ABSTAIN
-    active_b = votes_b != ABSTAIN
-    union = int((active_a | active_b).sum())
+    union = np.count_nonzero(active_a | (votes_b != ABSTAIN))
     if union == 0:
         return 0.0
-    agree = int((active_a & active_b & (votes_a == votes_b)).sum())
-    return agree / union
+    # where `votes_a` is active, equal votes are active in both
+    return np.count_nonzero(active_a & (votes_a == votes_b)) / union
 
 
 def redundancy_filter(candidate_votes: np.ndarray, existing_votes, config: FilterConfig):
-    """Returns (passed, max consensus against the existing LF set)."""
+    """Returns (passed, consensus).
+
+    The existing columns are scanned in order, and the scan stops at the
+    first whose consensus with the candidate is above the threshold: a
+    rejection reports that column's consensus, which need not be the
+    highest in the set, and a pass reports the highest in the set.
+    """
     best = 0.0
     for votes in existing_votes:
         best = max(best, consensus(candidate_votes, votes))
@@ -106,13 +111,19 @@ def redundancy_filter(candidate_votes: np.ndarray, existing_votes, config: Filte
     return best <= config.redundancy_threshold, best
 
 
+_NO_ROWS = np.zeros(0, dtype=np.int64)
+
+
 class AdmissionGate:
     """Stateful admission pipeline over a dataset.
 
-    Admitted LFs, their validation accuracies and their cached train-split
-    vote columns only ever grow; redundancy for later candidates is checked
-    against the full admitted set including earlier admissions from the same
-    batch.
+    Admitted LFs, their validation accuracies and the train rows each fires
+    on only ever grow; redundancy for later candidates is checked against
+    the full admitted set including earlier admissions from the same batch.
+    An LF's train votes are its class on its rows and abstains elsewhere,
+    so the rows are all the gate keeps of them: the redundancy stage,
+    `train_matrix()` and `train_columns()` build dense columns from them
+    on demand.
     """
 
     def __init__(self, dataset: Dataset, config: Optional[FilterConfig] = None,
@@ -123,17 +134,51 @@ class AdmissionGate:
         # per admitted LF: accuracy on the valid split, None when it never fires
         # there; measured even when the accuracy stage is disabled
         self.valid_accuracies: list = []
-        self.train_votes: list = []  # one np.ndarray per admitted LF
+        self.train_rows: list = []  # per admitted LF: the train rows it fires on, ascending
+        # per class: the train rows of its admitted LFs, concatenated, and the
+        # admission index of the LF each row belongs to
+        self._class_rows: dict = {}
         # the samplers read it too; `train_tokens` are the train split's, when
         # the caller has tokenized it already
         self.train_index = KeywordIndex(dataset.train, train_tokens)
         self._valid_index = KeywordIndex(dataset.valid)
         self._valid_gold = np.array([inst.gold_label for inst in dataset.valid], dtype=np.int64)
 
+    def _column(self, k: int) -> np.ndarray:
+        """The train vote column of the k-th admitted LF."""
+        column = np.full(len(self.dataset.train), ABSTAIN, dtype=np.int64)
+        column[self.train_rows[k]] = self.admitted[k].target_class
+        return column
+
+    def train_columns(self):
+        """Each admitted LF's train vote column in admission order, built one
+        at a time."""
+        return (self._column(k) for k in range(len(self.admitted)))
+
     def train_matrix(self) -> np.ndarray:
-        if not self.train_votes:
-            return np.zeros((len(self.dataset.train), 0), dtype=np.int64)
-        return np.stack(self.train_votes, axis=1)
+        """The (n, m) int64 train vote matrix, columns in admission order."""
+        matrix = np.full((len(self.dataset.train), len(self.admitted)), ABSTAIN, dtype=np.int64)
+        for target_class, (rows, owner) in self._class_rows.items():
+            matrix[rows, owner] = target_class
+        return matrix
+
+    def _sharing(self, target_class: int, rows: np.ndarray) -> list:
+        """The admission indices, ascending, of the admitted LFs of
+        `target_class` that fire on one of train `rows`; one `np.bincount`
+        over the class's stored rows that `rows` holds finds them all."""
+        stored, owner = self._class_rows.get(target_class, (_NO_ROWS, _NO_ROWS))
+        fires = np.zeros(len(self.dataset.train), dtype=bool)
+        fires[rows] = True
+        return np.bincount(owner[fires[stored]]).nonzero()[0].tolist()
+
+    def _keep(self, lf: LabelFunction, acc, rows: np.ndarray):
+        stored, owner = self._class_rows.get(lf.target_class, (_NO_ROWS, _NO_ROWS))
+        self._class_rows[lf.target_class] = (
+            np.concatenate([stored, rows]),
+            np.concatenate([owner, np.full(len(rows), len(self.admitted), dtype=np.int64)]))
+        self.admitted.append(lf)
+        self.valid_accuracies.append(acc)
+        self.train_rows.append(rows)
 
     def admit_one(self, candidate: CandidateSpec):
         """Run one candidate through the filter cascade.
@@ -142,21 +187,28 @@ class AdmissionGate:
         lf, reason = validity_filter(candidate, self.dataset)
         if lf is None:
             return None, FilterVerdict(REJECTED, STAGE_VALIDITY, reason)
-        passed, acc = accuracy_filter(self._valid_index.votes(lf), self._valid_gold, self.config)
+        # an accuracy counts no abstain, so only the valid rows the LF fires on are passed
+        hits = self._valid_index.rows(lf)
+        passed, acc = accuracy_filter(np.full(len(hits), lf.target_class, dtype=np.int64),
+                                      self._valid_gold[hits], self.config)
         if self.config.enable_accuracy and not passed:
             return None, FilterVerdict(
                 REJECTED, STAGE_ACCURACY,
                 "validation accuracy %.4f < %.4f" % (acc, self.config.accuracy_threshold))
-        cand_votes = self.train_index.votes(lf)
+        rows = self.train_index.rows(lf)
         if self.config.enable_redundancy:
-            passed, best = redundancy_filter(cand_votes, self.train_votes, self.config)
+            # only an admitted LF of the candidate's class that fires on one
+            # of its rows can agree with it; every other has consensus 0.0,
+            # which can neither raise the scan's best nor stop it
+            votes = np.full(len(self.dataset.train), ABSTAIN, dtype=np.int64)
+            votes[rows] = lf.target_class
+            passed, best = redundancy_filter(
+                votes, map(self._column, self._sharing(lf.target_class, rows)), self.config)
             if not passed:
                 return None, FilterVerdict(
                     REJECTED, STAGE_REDUNDANCY,
                     "max train consensus %.4f > %.4f" % (best, self.config.redundancy_threshold))
-        self.admitted.append(lf)
-        self.valid_accuracies.append(acc)
-        self.train_votes.append(cand_votes)
+        self._keep(lf, acc, rows)
         return lf, FilterVerdict(ADMITTED, STAGE_REDUNDANCY, "admitted")
 
     def admit(self, candidates):

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import aggregate, corpus, downstream, labelfns, lfgate, plmclient, prompting, select
 from .corpus import Dataset, Instance, RELATION_TASK, TEXT_TASK
-from .labelfns import ABSTAIN, KEYWORD, PATTERN, Provenance
+from .labelfns import KEYWORD, PATTERN, Provenance
 
 
 @dataclass
@@ -147,7 +147,9 @@ class IterationRecord:
     verdicts: list
 
     def to_record(self) -> dict:
-        return asdict(self)
+        return {"t": self.t, "query_id": self.query_id, "label": self.label,
+                "gold_label": self.gold_label, "proposed": self.proposed,
+                "admitted": self.admitted, "verdicts": self.verdicts}
 
 
 @dataclass
@@ -161,7 +163,10 @@ class RunReport:
     warning: Optional[str] = None
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
+        return json.dumps({"config": self.config, "seed": self.seed, "metrics": self.metrics,
+                           "iterations": self.iterations, "final_lfs": self.final_lfs,
+                           "complete": self.complete, "warning": self.warning},
+                          sort_keys=True, indent=2)
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -298,7 +303,7 @@ def label_model_kind(config: RunConfig) -> Optional[aggregate.LabelModelKind]:
 def _fit_label_model(config: RunConfig, dataset: Dataset, gate: lfgate.AdmissionGate,
                      warm=None) -> aggregate.ProbLabels:
     n, n_classes = len(dataset.train), dataset.n_classes
-    if not any((votes != ABSTAIN).any() for votes in gate.train_votes):
+    if not any(len(rows) for rows in gate.train_rows):
         return aggregate.ProbLabels(probs=np.full((n, n_classes), 1.0 / n_classes),
                                     covered=np.zeros(n, dtype=bool))
     train_matrix = gate.train_matrix()
@@ -485,7 +490,7 @@ def run(config: RunConfig, backend=None, dataset: Optional[Dataset] = None) -> R
     # time (the selection state's kept entropies hold the train matrix too)
     del X_train, selection
 
-    metrics = compute_metrics(dataset, gate.admitted, gate.train_votes, problabels,
+    metrics = compute_metrics(dataset, gate.admitted, gate.train_columns(), problabels,
                               model, space, records, positive_class)
     report = RunReport(config=config.experiment_dict(), seed=config.seed, metrics=metrics,
                        iterations=[r.to_record() for r in records],

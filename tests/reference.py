@@ -5,7 +5,8 @@ out in bulk: the Dawid-Skene objective at given parameters, the entropy of
 one probability vector, the expected utility of one row's candidate LFs,
 the samplers' pick loop over a pool's scores, the rows of a keyword index
 that hold one gram, a split's interned n-grams, the TF-IDF fit and
-featurization, and one mock-oracle response.
+featurization, one mock-oracle response, and the admission gate over
+dense vote columns.
 """
 
 import math
@@ -15,6 +16,10 @@ import numpy as np
 from weaklab.aggregate import _penalized_log_likelihood, _vote_design
 from weaklab.corpus import extract_ngrams, tokenize
 from weaklab.downstream import FeatureSpace
+from weaklab.labelfns import apply_lf
+from weaklab.lfgate import (ADMITTED, REJECTED, STAGE_ACCURACY, STAGE_REDUNDANCY,
+                            STAGE_VALIDITY, FilterVerdict, accuracy_filter, redundancy_filter,
+                            validity_filter)
 from weaklab.plmclient import MockOracleConfig, _analyse_passage, _draw_response
 from weaklab.select import entropy_rows
 
@@ -122,3 +127,57 @@ def mock_oracle_respond(config: MockOracleConfig, instance, task_kind: str, cot:
     """One synthetic response, deterministic given (seed, query id, draw index)."""
     return _draw_response(config, _analyse_passage(config, instance), task_kind, cot,
                           draw_index)
+
+
+def vote_column(lf, instances) -> np.ndarray:
+    """One LF's int64 votes over a split, from `apply_lf` row by row."""
+    return np.array([apply_lf(lf, inst) for inst in instances], dtype=np.int64)
+
+
+class DenseAdmissionGate:
+    """The admission gate that keeps every admitted LF's dense train vote
+    column: the accuracy stage reads the candidate's whole valid column,
+    and the redundancy stage compares its whole train column with every
+    admitted LF's, in admission order."""
+
+    def __init__(self, dataset, config):
+        self.dataset = dataset
+        self.config = config
+        self.admitted, self.valid_accuracies, self.train_votes = [], [], []
+        self._valid_gold = np.array([inst.gold_label for inst in dataset.valid], dtype=np.int64)
+
+    def train_matrix(self) -> np.ndarray:
+        if not self.train_votes:
+            return np.zeros((len(self.dataset.train), 0), dtype=np.int64)
+        return np.stack(self.train_votes, axis=1)
+
+    def admit_one(self, candidate):
+        lf, reason = validity_filter(candidate, self.dataset)
+        if lf is None:
+            return None, FilterVerdict(REJECTED, STAGE_VALIDITY, reason)
+        passed, acc = accuracy_filter(vote_column(lf, self.dataset.valid), self._valid_gold,
+                                      self.config)
+        if self.config.enable_accuracy and not passed:
+            return None, FilterVerdict(
+                REJECTED, STAGE_ACCURACY,
+                "validation accuracy %.4f < %.4f" % (acc, self.config.accuracy_threshold))
+        cand_votes = vote_column(lf, self.dataset.train)
+        if self.config.enable_redundancy:
+            passed, best = redundancy_filter(cand_votes, self.train_votes, self.config)
+            if not passed:
+                return None, FilterVerdict(
+                    REJECTED, STAGE_REDUNDANCY,
+                    "max train consensus %.4f > %.4f" % (best, self.config.redundancy_threshold))
+        self.admitted.append(lf)
+        self.valid_accuracies.append(acc)
+        self.train_votes.append(cand_votes)
+        return lf, FilterVerdict(ADMITTED, STAGE_REDUNDANCY, "admitted")
+
+    def admit(self, candidates):
+        new_lfs, verdicts = [], []
+        for candidate in candidates:
+            lf, verdict = self.admit_one(candidate)
+            if lf is not None:
+                new_lfs.append(lf)
+            verdicts.append(verdict)
+        return new_lfs, verdicts

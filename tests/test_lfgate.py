@@ -2,10 +2,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from reference import DenseAdmissionGate
 from weaklab.corpus import Dataset, EntitySpan, Instance, RELATION_TASK, TEXT_TASK
-from weaklab.labelfns import ABSTAIN, KEYWORD, PATTERN, apply_lf
+from weaklab.labelfns import ABSTAIN, KEYWORD, PATTERN, Provenance, apply_lf
 from weaklab.lfgate import (
     ADMITTED,
     REJECTED,
@@ -59,6 +60,15 @@ class TestAccuracyFilter:
         votes, gold = _votes(3, 1, 6)
         assert measure_accuracy(votes, gold) == pytest.approx(0.75)
 
+    @given(st.lists(st.tuples(st.sampled_from([ABSTAIN, 0, 1, 2]), st.integers(0, 2)),
+                    max_size=40))
+    def test_measure_accuracy_is_the_mean_of_the_active_hits(self, pairs):
+        votes = np.array([v for v, _ in pairs], dtype=np.int64)
+        gold = np.array([g for _, g in pairs], dtype=np.int64)
+        active = votes != ABSTAIN
+        want = float((votes[active] == gold[active]).mean()) if active.any() else None
+        assert measure_accuracy(votes, gold) == want
+
 
 class TestConsensus:
     def test_identical_vote_vectors(self):
@@ -96,6 +106,13 @@ class TestConsensus:
         v = np.array(a)
         assert 0.0 <= consensus(v, v) <= 1.0
 
+    @given(votes_strategy, votes_strategy)
+    def test_equals_the_row_by_row_count(self, a, b):
+        n = min(len(a), len(b))
+        pairs = [(x, y) for x, y in zip(a[:n], b[:n]) if x != ABSTAIN or y != ABSTAIN]
+        want = sum(x == y for x, y in pairs) / len(pairs) if pairs else 0.0
+        assert consensus(np.array(a[:n]), np.array(b[:n])) == want
+
 
 class TestRedundancyFilter:
     def test_19_of_20_overlap_passes(self):
@@ -121,6 +138,12 @@ class TestRedundancyFilter:
         high = np.ones(4, dtype=int)
         passed, best = redundancy_filter(a, [low, high], FilterConfig())
         assert not passed and best == 1.0
+
+    def test_rejection_reports_the_first_consensus_above_the_threshold(self):
+        a = np.ones(100, dtype=int)
+        near = np.concatenate([np.ones(96, dtype=int), np.full(4, ABSTAIN)])
+        passed, best = redundancy_filter(a, [near, a.copy()], FilterConfig())
+        assert not passed and best == 0.96
 
 
 def _tiny_dataset():
@@ -216,6 +239,19 @@ class TestAdmissionGate:
         gate = AdmissionGate(_tiny_dataset())
         assert gate.train_matrix().shape == (5, 0)
 
+    def test_rejection_reports_the_first_admitted_lf_above_the_threshold(self):
+        # "alpha" fires on 96 of the 100 rows "gamma" fires on, "beta" on all 100
+        texts = ["alpha beta gamma"] * 96 + ["beta gamma"] * 4
+        dataset = Dataset(task_kind=TEXT_TASK, classes=["HAM", "SPAM"], default_class=None,
+                          train=[Instance(id=i, text=t) for i, t in enumerate(texts)],
+                          valid=[Instance(id=100, text="gamma", gold_label=1)], test=[])
+        gate = AdmissionGate(dataset, FilterConfig(enable_redundancy=False))
+        gate.admit([CandidateSpec(KEYWORD, "alpha", 1), CandidateSpec(KEYWORD, "beta", 1)])
+        gate.config = FilterConfig()
+        lf, verdict = gate.admit_one(CandidateSpec(KEYWORD, "gamma", 1))
+        assert lf is None and verdict.stage == STAGE_REDUNDANCY
+        assert verdict.detail == "max train consensus 0.9600 > 0.9500"
+
 
 def _relation_dataset():
     """Rows whose entities turn the unsafe templates below into regex syntax."""
@@ -256,6 +292,89 @@ def test_unsafe_pattern_templates_get_a_validity_verdict(template):
     assert caught == []
     assert new == []
     assert verdicts[0].outcome == REJECTED and verdicts[0].stage == STAGE_VALIDITY
+
+
+# rows hold words of WORDS; valid rows may hold "v" too, so "v" fires on no
+# train row, and "zz" on no row at all
+WORDS = ["a", "b", "c", "d"]
+ENTITIES = ["Ann", "Bob", "Cy"]
+PAYLOADS = {
+    TEXT_TASK: ["a", "b", "c", "d", "a b", "b c", "v", "zz", "one two three four", "!"],
+    RELATION_TASK: ["a", "b", "{{E1}} a", "b {{E2}}", "{{E1}}.{0,20}c", "{{E1}}.{0,40}{{E2}}",
+                    "v", "zz", "(", ""],
+}
+
+
+@st.composite
+def gate_cases(draw):
+    """(task kind, class count, train rows' words, valid rows' (words, gold),
+    batches of (payload, class), filter config); a class equal to the class
+    count is invalid, as are the last two payloads of each kind."""
+    task_kind = draw(st.sampled_from([TEXT_TASK, RELATION_TASK]))
+    n_classes = draw(st.integers(2, 3))
+    train = draw(st.lists(st.lists(st.sampled_from(WORDS), max_size=4), min_size=1,
+                          max_size=24))
+    valid = draw(st.lists(st.tuples(st.lists(st.sampled_from(WORDS + ["v"]), max_size=4),
+                                    st.integers(0, n_classes - 1)), min_size=1, max_size=12))
+    candidate = st.tuples(st.sampled_from(PAYLOADS[task_kind]), st.integers(0, n_classes))
+    batches = draw(st.lists(st.lists(candidate, max_size=8), min_size=1, max_size=4))
+    config = FilterConfig(accuracy_threshold=draw(st.sampled_from([0.0, 0.5, 0.6, 1.0])),
+                          redundancy_threshold=draw(st.sampled_from([0.0, 0.5, 0.95, 1.0])),
+                          enable_accuracy=draw(st.booleans()),
+                          enable_redundancy=draw(st.booleans()))
+    return task_kind, n_classes, train, valid, batches, config
+
+
+def _case_dataset(task_kind, n_classes, train, valid):
+    def inst(i, words, label=None):
+        if task_kind == TEXT_TASK:
+            return Instance(id=i, text=" ".join(words), gold_label=label)
+        e1, e2 = ENTITIES[i % 3], ENTITIES[(i + 1) % 3]
+        text = " ".join([e1] + words + [e2])
+        return Instance(id=i, text=text, gold_label=label,
+                        entity1=EntitySpan(e1, 0, len(e1)),
+                        entity2=EntitySpan(e2, len(text) - len(e2), len(text)))
+
+    return Dataset(task_kind=task_kind, classes=["C%d" % c for c in range(n_classes)],
+                   default_class=None, train=[inst(i, words) for i, words in enumerate(train)],
+                   valid=[inst(100 + i, words, label) for i, (words, label) in enumerate(valid)],
+                   test=[])
+
+
+@settings(max_examples=200, deadline=None)
+@given(gate_cases())
+# consensus 19/20 equals the threshold and passes; the batch-mate repeat is 1.0
+@example((TEXT_TASK, 2, [["a", "b"]] * 19 + [["b"]], [(["a"], 1)],
+          [[("a", 1), ("b", 1), ("b", 1)]], FilterConfig(enable_accuracy=False)))
+# "c" is above 0.5 with both batch-mates: the scan reports "a"'s 5/9, not "b"'s 6/9
+@example((TEXT_TASK, 2, [["a"], ["a", "c"], ["a", "c"], ["a", "b", "c"], ["a", "b", "c"],
+                         ["a", "b", "c"], ["b", "c"], ["b", "c"], ["b", "c"], ["b"]],
+          [(["a"], 1)], [[("a", 1), ("b", 1), ("c", 1)]],
+          FilterConfig(enable_accuracy=False, redundancy_threshold=0.5)))
+# cross-class and disjoint overlaps, a candidate that fires only on valid rows
+@example((TEXT_TASK, 2, [["a", "b"], ["a"], ["c"]], [(["v", "a"], 0), (["c"], 1)],
+          [[("a", 0), ("a", 1), ("c", 0)], [("v", 1), ("b", 0), ("b", 1)]], FilterConfig()))
+@example((RELATION_TASK, 2, [["a", "c"], ["b"], ["c"]], [(["a"], 1), (["v"], 1)],
+          [[("{{E1}} a", 1), ("a", 1), ("a", 0)], [("{{E1}}.{0,20}c", 1), ("v", 1)]],
+          FilterConfig(redundancy_threshold=0.5)))
+def test_gate_matches_the_dense_column_gate(case):
+    task_kind, n_classes, train, valid, batches, config = case
+    dataset = _case_dataset(task_kind, n_classes, train, valid)
+    kind = KEYWORD if task_kind == TEXT_TASK else PATTERN
+    gate, dense = AdmissionGate(dataset, config), DenseAdmissionGate(dataset, config)
+    for t, batch in enumerate(batches):
+        candidates = [CandidateSpec(kind, payload, label, Provenance(iteration=t, response_index=i))
+                      for i, (payload, label) in enumerate(batch)]
+        new, verdicts = gate.admit(candidates)
+        want_new, want_verdicts = dense.admit(candidates)
+        assert new == want_new
+        assert [v.to_record() for v in verdicts] == [v.to_record() for v in want_verdicts]
+    assert gate.admitted == dense.admitted
+    assert gate.valid_accuracies == dense.valid_accuracies
+    matrix, want = gate.train_matrix(), dense.train_matrix()
+    assert (matrix.shape, matrix.dtype, matrix.tobytes()) == (want.shape, want.dtype,
+                                                              want.tobytes())
+    assert [c.tobytes() for c in gate.train_columns()] == [c.tobytes() for c in dense.train_votes]
 
 
 def test_filter_config_validation():

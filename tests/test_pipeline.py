@@ -731,6 +731,26 @@ class TestReportRendering:
         metrics["test_metric"] = "binary_f1"
         assert "Test_F1" in render_report_table(metrics)
 
+    # the records are built field by field, not by `dataclasses.asdict`
+    def test_records_equal_the_dataclass_dicts(self, corpus_paths, monkeypatch):
+        seen = {lfgate.FilterVerdict: [], pipeline.IterationRecord: []}
+        for cls, kept in seen.items():
+            def to_record(self, original=cls.to_record, kept=kept):
+                kept.append(self)
+                return original(self)
+
+            monkeypatch.setattr(cls, "to_record", to_record)
+        report = run(_config(corpus_paths, n_responses=5, temperature=0.7,
+                             mock_p_label=0.5, mock_p_keyword=0.3))
+        verdicts, records = seen[lfgate.FilterVerdict], seen[pipeline.IterationRecord]
+        assert {(v.outcome, v.stage) for v in verdicts} == {
+            ("admitted", "redundancy"), ("rejected", "accuracy"), ("rejected", "redundancy")}
+        assert len(records) == len(report.iterations)
+        for obj in verdicts + records:
+            assert list(obj.to_record().items()) == list(dataclasses.asdict(obj).items())
+        assert report.to_json() == json.dumps(dataclasses.asdict(report), sort_keys=True,
+                                              indent=2)
+
 
 def _relation_dataset():
     def split(start, count):
