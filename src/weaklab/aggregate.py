@@ -65,8 +65,9 @@ def _check_votes(entries: np.ndarray, n_classes: int):
 def majority_vote(entries: np.ndarray, n_classes: int) -> ProbLabels:
     """Vote-fraction distribution over non-abstain votes per instance."""
     _check_votes(entries, n_classes)
-    # one pass per class: a broadcast (rows, LFs, classes) compare sums ~10x slower
-    counts = np.stack([(entries == c).sum(axis=1) for c in range(n_classes)], axis=1)
+    rows, cols = np.nonzero(entries != ABSTAIN)
+    counts = np.bincount(rows * n_classes + entries[rows, cols],
+                         minlength=entries.shape[0] * n_classes).reshape(-1, n_classes)
     totals = counts.sum(axis=1)
     covered = totals > 0
     probs = np.full((entries.shape[0], n_classes), 1.0 / n_classes)
@@ -87,13 +88,14 @@ def weighted_vote(entries: np.ndarray, n_classes: int, lf_accuracies) -> ProbLab
     _check_votes(entries, n_classes)
     acc = np.clip(np.asarray(lf_accuracies, dtype=float), 0.05, 0.95)
     weights = np.log(acc * (n_classes - 1) / (1.0 - acc))
+    # `np.nonzero` lists each row's votes in LF order and `np.add.at` adds
+    # them in the order given, so each cell sums its weights first LF to last
+    rows, cols = np.nonzero(entries != ABSTAIN)
+    votes = entries[rows, cols]
     scores = np.zeros((n, n_classes))
+    np.add.at(scores, (rows, votes), weights[cols])
     voted = np.zeros((n, n_classes), dtype=bool)
-    for j in range(m):
-        votes = entries[:, j]
-        active = votes != ABSTAIN
-        scores[active, votes[active]] += weights[j]
-        voted[active, votes[active]] = True
+    voted[rows, votes] = True
     covered = voted.any(axis=1)
     probs = np.full((n, n_classes), 1.0 / n_classes)
     # Rows with the same number k of voted classes are normalized together

@@ -414,13 +414,15 @@ class KeywordIndex:
 
 def build_matrix(lfs, instances, index: Optional[KeywordIndex] = None) -> np.ndarray:
     """Apply every LF to every instance: the (n, m) vote array, entries in
-    {0..C-1} | {ABSTAIN}, columns in LF admission order."""
+    {0..C-1} | {ABSTAIN}, columns in LF admission order. Each LF's class
+    goes in at the rows `index` matches it on, so no column is built."""
     instances = list(instances)
     if index is None:
         index = KeywordIndex(instances)
-    if lfs:
-        return np.stack([index.votes(lf) for lf in lfs], axis=1)
-    return np.zeros((len(instances), 0), dtype=np.int64)
+    matrix = np.full((len(instances), len(lfs)), ABSTAIN, dtype=np.int64)
+    for j, lf in enumerate(lfs):
+        matrix[index.rows(lf), j] = lf.target_class
+    return matrix
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from .labelfns import (
     LabelFunction,
     LFError,
     Provenance,
+    build_matrix,
     compile_lf,
     measure_accuracy,
 )
@@ -117,13 +118,12 @@ _NO_ROWS = np.zeros(0, dtype=np.int64)
 class AdmissionGate:
     """Stateful admission pipeline over a dataset.
 
-    Admitted LFs, their validation accuracies and the train rows each fires
-    on only ever grow; redundancy for later candidates is checked against
-    the full admitted set including earlier admissions from the same batch.
-    An LF's train votes are its class on its rows and abstains elsewhere,
-    so the rows are all the gate keeps of them: the redundancy stage,
-    `train_matrix()` and `train_columns()` build dense columns from them
-    on demand.
+    Admitted LFs and their validation accuracies only ever grow;
+    redundancy for later candidates is checked against the full admitted
+    set including earlier admissions from the same batch. An admitted LF's
+    train rows are the train index's memo of its matches: the redundancy
+    stage and `train_columns()` build dense columns from them through
+    `KeywordIndex.votes`, and `train_matrix()` through `build_matrix`.
     """
 
     def __init__(self, dataset: Dataset, config: Optional[FilterConfig] = None,
@@ -134,7 +134,6 @@ class AdmissionGate:
         # per admitted LF: accuracy on the valid split, None when it never fires
         # there; measured even when the accuracy stage is disabled
         self.valid_accuracies: list = []
-        self.train_rows: list = []  # per admitted LF: the train rows it fires on, ascending
         # per class: the train rows of its admitted LFs, concatenated, and the
         # admission index of the LF each row belongs to
         self._class_rows: dict = {}
@@ -144,32 +143,23 @@ class AdmissionGate:
         self._valid_index = KeywordIndex(dataset.valid)
         self._valid_gold = np.array([inst.gold_label for inst in dataset.valid], dtype=np.int64)
 
-    def _column(self, k: int) -> np.ndarray:
-        """The train vote column of the k-th admitted LF."""
-        column = np.full(len(self.dataset.train), ABSTAIN, dtype=np.int64)
-        column[self.train_rows[k]] = self.admitted[k].target_class
-        return column
-
     def train_columns(self):
         """Each admitted LF's train vote column in admission order, built one
         at a time."""
-        return (self._column(k) for k in range(len(self.admitted)))
+        return map(self.train_index.votes, self.admitted)
 
     def train_matrix(self) -> np.ndarray:
         """The (n, m) int64 train vote matrix, columns in admission order."""
-        matrix = np.full((len(self.dataset.train), len(self.admitted)), ABSTAIN, dtype=np.int64)
-        for target_class, (rows, owner) in self._class_rows.items():
-            matrix[rows, owner] = target_class
-        return matrix
+        return build_matrix(self.admitted, self.dataset.train, self.train_index)
 
     def _sharing(self, target_class: int, rows: np.ndarray) -> list:
-        """The admission indices, ascending, of the admitted LFs of
-        `target_class` that fire on one of train `rows`; one `np.bincount`
-        over the class's stored rows that `rows` holds finds them all."""
+        """The admitted LFs of `target_class`, in admission order, that fire
+        on one of train `rows`; one `np.bincount` over the class's stored
+        rows that `rows` holds finds them all."""
         stored, owner = self._class_rows.get(target_class, (_NO_ROWS, _NO_ROWS))
         fires = np.zeros(len(self.dataset.train), dtype=bool)
         fires[rows] = True
-        return np.bincount(owner[fires[stored]]).nonzero()[0].tolist()
+        return [self.admitted[k] for k in np.bincount(owner[fires[stored]]).nonzero()[0]]
 
     def _keep(self, lf: LabelFunction, acc, rows: np.ndarray):
         stored, owner = self._class_rows.get(lf.target_class, (_NO_ROWS, _NO_ROWS))
@@ -178,7 +168,6 @@ class AdmissionGate:
             np.concatenate([owner, np.full(len(rows), len(self.admitted), dtype=np.int64)]))
         self.admitted.append(lf)
         self.valid_accuracies.append(acc)
-        self.train_rows.append(rows)
 
     def admit_one(self, candidate: CandidateSpec):
         """Run one candidate through the filter cascade.
@@ -200,10 +189,9 @@ class AdmissionGate:
             # only an admitted LF of the candidate's class that fires on one
             # of its rows can agree with it; every other has consensus 0.0,
             # which can neither raise the scan's best nor stop it
-            votes = np.full(len(self.dataset.train), ABSTAIN, dtype=np.int64)
-            votes[rows] = lf.target_class
             passed, best = redundancy_filter(
-                votes, map(self._column, self._sharing(lf.target_class, rows)), self.config)
+                self.train_index.votes(lf),
+                map(self.train_index.votes, self._sharing(lf.target_class, rows)), self.config)
             if not passed:
                 return None, FilterVerdict(
                     REJECTED, STAGE_REDUNDANCY,

@@ -303,7 +303,7 @@ def label_model_kind(config: RunConfig) -> Optional[aggregate.LabelModelKind]:
 def _fit_label_model(config: RunConfig, dataset: Dataset, gate: lfgate.AdmissionGate,
                      warm=None) -> aggregate.ProbLabels:
     n, n_classes = len(dataset.train), dataset.n_classes
-    if not any(len(rows) for rows in gate.train_rows):
+    if not any(len(gate.train_index.rows(lf)) for lf in gate.admitted):
         return aggregate.ProbLabels(probs=np.full((n, n_classes), 1.0 / n_classes),
                                     covered=np.zeros(n, dtype=bool))
     train_matrix = gate.train_matrix()
@@ -364,15 +364,26 @@ def _prepare(config: RunConfig, dataset: Optional[Dataset] = None):
     and the TF-IDF space fit on the train split with the train features.
     Each train row is tokenized once: the same `Tokens` feed the TF-IDF fit,
     the train features and the admission gate's train index. Returns
-    (dataset, positive_class, tokens, space, X_train)."""
+    (dataset, positive_class, tokens, space, X_train). Raises ValueError
+    naming a classifier setting that cannot train (`l2` below 0 or NaN,
+    `max_opt_iters` below 1) or a `positive_class` on a task without
+    exactly two classes."""
+    if not config.l2 >= 0:  # a negative l2 drives the weights to NaN
+        raise ValueError("l2 must be at least 0, not %r" % config.l2)
+    if config.max_opt_iters < 1:
+        raise ValueError("max_opt_iters must be at least 1, not %r" % config.max_opt_iters)
     if dataset is None:
         dataset = corpus.load_dataset(config.train_path, config.valid_path,
                                       config.test_path, config.schema_path)
     if not dataset.train:
         raise ValueError("the train split is empty: there is no instance to query or label "
                          "and no row to train on")
-    positive_class = (class_index(dataset, "positive_class", config.positive_class)
-                      if config.positive_class is not None else None)
+    positive_class = None
+    if config.positive_class is not None:
+        positive_class = class_index(dataset, "positive_class", config.positive_class)
+        if dataset.n_classes != 2:  # binary F1 scores one class against the other
+            raise ValueError("positive_class needs a task with two classes, not %d (classes: %s)"
+                             % (dataset.n_classes, ", ".join(dataset.classes)))
     tokens = corpus.tokenize_all(inst.text for inst in dataset.train)
     space = downstream.fit_tfidf(tokens, min_df=config.min_df, max_features=config.max_features)
     return dataset, positive_class, tokens, space, downstream.featurize_all(space, tokens)
@@ -387,6 +398,8 @@ def run(config: RunConfig, backend=None, dataset: Optional[Dataset] = None) -> R
                          % config.sampler)
     if config.seu_pool_cap is not None and config.seu_pool_cap < 1:
         raise ValueError("seu_pool_cap must be at least 1 or None, not %r" % config.seu_pool_cap)
+    if config.n_iterations < 0:
+        raise ValueError("n_iterations must be at least 0, not %r" % config.n_iterations)
     spec = prompting.PromptSpec(method=config.prompt_method, n_responses=config.n_responses,
                                 ic_mode=config.ic_mode, k_per_class=config.k_per_class,
                                 k_total=config.k_total, temperature=config.temperature)

@@ -5,18 +5,19 @@ out in bulk: the Dawid-Skene objective at given parameters, the entropy of
 one probability vector, the expected utility of one row's candidate LFs,
 the samplers' pick loop over a pool's scores, the rows of a keyword index
 that hold one gram, a split's interned n-grams, the TF-IDF fit and
-featurization, one mock-oracle response, and the admission gate over
-dense vote columns.
+featurization, one mock-oracle response, the admission gate over dense
+vote columns, the majority vote counting one class at a time, and the
+weighted vote adding one row's weights one LF at a time.
 """
 
 import math
 
 import numpy as np
 
-from weaklab.aggregate import _penalized_log_likelihood, _vote_design
+from weaklab.aggregate import ProbLabels, _penalized_log_likelihood, _vote_design
 from weaklab.corpus import extract_ngrams, tokenize
 from weaklab.downstream import FeatureSpace
-from weaklab.labelfns import apply_lf
+from weaklab.labelfns import ABSTAIN, apply_lf
 from weaklab.lfgate import (ADMITTED, REJECTED, STAGE_ACCURACY, STAGE_REDUNDANCY,
                             STAGE_VALIDITY, FilterVerdict, accuracy_filter, redundancy_filter,
                             validity_filter)
@@ -38,6 +39,39 @@ def em_log_likelihood(entries, prior, confusions, propensities, smoothing):
     ll, log_like, _ = _penalized_log_likelihood(design, prior, confusions, propensities,
                                                 smoothing)
     return ll, log_like
+
+
+def majority_vote(entries, n_classes) -> ProbLabels:
+    """`aggregate.majority_vote` counting one class at a time."""
+    counts = np.stack([(entries == c).sum(axis=1) for c in range(n_classes)], axis=1)
+    totals = counts.sum(axis=1)
+    covered = totals > 0
+    probs = np.full((entries.shape[0], n_classes), 1.0 / n_classes)
+    probs[covered] = counts[covered] / totals[covered, None]
+    return ProbLabels(probs=probs, covered=covered)
+
+
+def weighted_vote(entries, n_classes, lf_accuracies) -> ProbLabels:
+    """`aggregate.weighted_vote` row by row: each row adds its LFs' weights
+    one at a time, first to last, and takes the softmax over the classes it
+    voted."""
+    acc = np.clip(np.asarray(lf_accuracies, dtype=float), 0.05, 0.95)
+    weights = np.log(acc * (n_classes - 1) / (1.0 - acc))
+    probs = np.full((entries.shape[0], n_classes), 1.0 / n_classes)
+    covered = np.zeros(entries.shape[0], dtype=bool)
+    for i, row in enumerate(entries):
+        scores = np.zeros(n_classes)
+        voted = np.zeros(n_classes, dtype=bool)
+        for j, vote in enumerate(row):
+            if vote != ABSTAIN:
+                scores[vote] += weights[j]
+                voted[vote] = True
+        if voted.any():
+            z = np.exp(scores[voted] - scores[voted].max())
+            probs[i] = 0.0
+            probs[i, voted] = z / z.sum()
+            covered[i] = True
+    return ProbLabels(probs=probs, covered=covered)
 
 
 def entropy(p) -> float:

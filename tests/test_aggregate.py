@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import reference
 from reference import em_log_likelihood
 from weaklab import aggregate
 from weaklab.aggregate import (
@@ -80,23 +81,6 @@ class TestWeightedVote:
     def test_matches_per_row_softmax_bit_for_bit(self, n_classes):
         # 9 and 12 classes let a row carry 8+ voted classes, where numpy
         # switches to pairwise summation
-        def reference(entries, accuracies):
-            acc = np.clip(np.asarray(accuracies, dtype=float), 0.05, 0.95)
-            weights = np.log(acc * (n_classes - 1) / (1.0 - acc))
-            probs = np.full((entries.shape[0], n_classes), 1.0 / n_classes)
-            for i, row in enumerate(entries):
-                scores = np.zeros(n_classes)
-                voted = np.zeros(n_classes, dtype=bool)
-                for j, vote in enumerate(row):
-                    if vote != A:
-                        scores[vote] += weights[j]
-                        voted[vote] = True
-                if voted.any():
-                    z = np.exp(scores[voted] - scores[voted].max())
-                    probs[i] = 0.0
-                    probs[i, voted] = z / z.sum()
-            return probs
-
         rng = np.random.default_rng(n_classes)
         for _ in range(20):
             m = int(rng.integers(1, 40))
@@ -104,7 +88,43 @@ class TestWeightedVote:
                                rng.integers(0, n_classes, size=(30, m)))
             accuracies = rng.uniform(0.0, 1.0, size=m)
             result = weighted_vote(entries, n_classes, accuracies)
-            assert np.array_equal(result.probs, reference(entries, accuracies))
+            assert np.array_equal(result.probs,
+                                  reference.weighted_vote(entries, n_classes, accuracies).probs)
+
+
+@st.composite
+def vote_matrices(draw):
+    """(entries, n_classes, accuracies): 0-12 rows by 0-8 LFs over 2-9
+    classes, each LF voting any class, with some rows and some LFs blanked
+    to all abstains; an accuracy below 1/C weighs its LF's votes negatively."""
+    n_classes = draw(st.integers(2, 9))
+    n, m = draw(st.integers(0, 12)), draw(st.integers(0, 8))
+    cells = draw(st.lists(st.one_of(st.just(A), st.integers(0, n_classes - 1)),
+                          min_size=n * m, max_size=n * m))
+    entries = np.array(cells, dtype=np.int64).reshape(n, m)
+    entries[draw(st.lists(st.booleans(), min_size=n, max_size=n)), :] = A
+    entries[:, draw(st.lists(st.booleans(), min_size=m, max_size=m))] = A
+    accuracies = draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m))
+    return entries, n_classes, accuracies
+
+
+def _bytes(result):
+    return result.probs.shape, result.probs.tobytes(), result.covered.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(vote_matrices())
+@example((np.zeros((0, 3), dtype=np.int64), 4, [0.9, 0.1, 0.5]))
+@example((np.zeros((3, 0), dtype=np.int64), 2, []))
+# one LF voting three classes, one all-abstain LF, negative weights
+@example((np.array([[0, A, 2, 1], [1, A, 2, A], [2, A, A, 0], [A, A, A, A]]), 3,
+          [0.9, 0.7, 0.2, 0.05]))
+def test_vote_models_match_the_loops_bit_for_bit(case):
+    entries, n_classes, accuracies = case
+    assert _bytes(majority_vote(entries, n_classes)) == _bytes(
+        reference.majority_vote(entries, n_classes))
+    assert _bytes(weighted_vote(entries, n_classes, accuracies)) == _bytes(
+        reference.weighted_vote(entries, n_classes, accuracies))
 
 
 def brute_force_objective(entries, prior, confusions, propensities, smoothing):

@@ -227,6 +227,12 @@ def test_eval_lfs_names_an_unknown_positive_class(noisy_lfs):
         noisy_lfs["eval_lfs"](positive_class="nope")
 
 
+@pytest.mark.parametrize("field, value", [("l2", -1.0), ("max_opt_iters", 0)])
+def test_eval_lfs_names_a_classifier_setting_that_cannot_train(noisy_lfs, field, value):
+    with pytest.raises(ValueError, match="%s must be at least" % field):
+        noisy_lfs["eval_lfs"](**{field: value})
+
+
 @pytest.fixture(scope="module")
 def lazy_corpus(tmp_path_factory):
     root = tmp_path_factory.mktemp("lazy")

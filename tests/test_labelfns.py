@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from reference import interned, keyword_rows
+from reference import interned, keyword_rows, vote_column
 from weaklab import labelfns
 from weaklab.corpus import (
     Dataset,
@@ -412,6 +412,43 @@ class TestMatrix:
         for j, lf in enumerate(lfs):
             col = matrix[:, j]
             assert set(col[col != ABSTAIN]) <= {lf.target_class}
+
+
+MATRIX_WORDS = ["a", "b", "c"]
+MATRIX_PAYLOADS = {
+    KEYWORD: ["a", "b", "c", "a b", "b a c", "zz"],
+    PATTERN: ["a", "{{E1}} b", "c {{E2}}", "{{E1}}.{0,20}{{E2}}", "zz"],
+}
+
+
+@st.composite
+def matrix_cases(draw):
+    """(instances, LFs): 0-10 rows of words (a relation row between two
+    entities) and 0-6 keyword or pattern LFs over 2-4 classes, where a
+    payload may repeat with another class."""
+    kind = draw(st.sampled_from([KEYWORD, PATTERN]))
+    classes = ["C%d" % c for c in range(draw(st.integers(2, 4)))]
+    rows = draw(st.lists(st.lists(st.sampled_from(MATRIX_WORDS), max_size=4), max_size=10))
+    if kind == KEYWORD:
+        instances = [Instance(id=i, text=" ".join(words)) for i, words in enumerate(rows)]
+    else:
+        instances = [rel_instance(" ".join(["Ann"] + words + ["Bob"]), "Ann", "Bob", iid=i)
+                     for i, words in enumerate(rows)]
+    task_kind = TEXT_TASK if kind == KEYWORD else RELATION_TASK
+    specs = draw(st.lists(st.tuples(st.sampled_from(MATRIX_PAYLOADS[kind]),
+                                    st.integers(0, len(classes) - 1)), max_size=6))
+    return instances, [compile_lf(kind, payload, cls, classes, task_kind) for payload, cls in specs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix_cases(), st.booleans())
+def test_build_matrix_equals_the_stacked_vote_columns(case, given_index):
+    instances, lfs = case
+    matrix = build_matrix(lfs, instances, KeywordIndex(instances) if given_index else None)
+    want = np.array([vote_column(lf, instances) for lf in lfs],
+                    dtype=np.int64).reshape(len(lfs), len(instances)).T
+    assert (matrix.shape, matrix.dtype, matrix.tobytes()) == (want.shape, want.dtype,
+                                                              want.tobytes())
 
 
 class TestStats:

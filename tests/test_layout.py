@@ -8,6 +8,7 @@ takes belongs deleted.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import weaklab
@@ -51,3 +52,13 @@ def unreached():
 
 def test_every_definition_is_reached_by_the_program():
     assert unreached() == []
+
+
+def test_every_attribute_the_tracer_hooks_exists(monkeypatch):
+    """lfbench's tracer swaps each hooked attribute through its owner's
+    `__dict__`, so one that is renamed or removed fails every benchmark run."""
+    monkeypatch.syspath_prepend(str(ROOT))
+    tracer = importlib.import_module("lfbench.tracer")
+    missing = ["%s.%s" % (hook.owner.__name__, hook.name)
+               for hook in tracer.hooks() if hook.name not in vars(hook.owner)]
+    assert missing == []

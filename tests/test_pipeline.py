@@ -243,6 +243,11 @@ class TestRun:
         ("em_restarts", dict(label_model="dawid_skene", em_restarts=-1)),
         ("min_df", dict(min_df=0)),
         ("max_features", dict(max_features=0)),
+        # each once ran without a word: to NaN weights, to no fit, to no iteration
+        ("l2", dict(l2=-1.0)),
+        ("l2", dict(l2=float("nan"))),
+        ("max_opt_iters", dict(max_opt_iters=0)),
+        ("n_iterations", dict(n_iterations=-2)),
     ])
     def test_bad_setting_is_named_before_the_first_request(self, corpus_paths, monkeypatch,
                                                           field, overrides):
@@ -251,6 +256,18 @@ class TestRun:
                             lambda backend, request: requests.append(request))
         with pytest.raises(ValueError, match=field):
             run(_config(corpus_paths, **overrides))
+        assert requests == []
+
+    def test_positive_class_on_three_classes_fails_before_the_first_request(self, tmp_path,
+                                                                             monkeypatch):
+        dataset, signatures, annotations = generate_synthetic(30, 15, 15, n_classes=3, seed=0)
+        paths = write_synthetic(str(tmp_path), dataset, signatures, annotations)
+        requests = []
+        monkeypatch.setattr(plmclient, "complete",
+                            lambda backend, request: requests.append(request))
+        with pytest.raises(ValueError, match=r"positive_class needs a task with two classes, "
+                                             r"not 3 \(classes: class0, class1, class2\)"):
+            run(_config(paths, positive_class="class1"))
         assert requests == []
 
     def test_pool_exhaustion_truncates_with_warning(self, corpus_paths):
